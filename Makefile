@@ -17,7 +17,13 @@ RACE_PKGS := . ./internal/experiments ./internal/core ./internal/sim ./internal/
 # coverage job.
 COVERAGE_MIN ?= 73.5
 
-.PHONY: build test race fmt vet lint lint-fix-check bench bench-json bench-gate bench-gate-update cover determinism trace-smoke store-smoke serve-smoke fuzz ci
+# The timed benchmarks BENCH_ci.json records and gates: the end-to-end frame
+# rows of the root package and the raster layer's row beneath them.
+BENCH_TIMED := -bench 'Frame|RenderTileInto' -benchmem -count 5 -run '^$$' -timeout 0 . ./internal/raster
+# Where `make profile` writes the CPU profile and its -top listing.
+PROFILE_DIR ?= /tmp
+
+.PHONY: build test race fmt vet lint lint-fix-check bench bench-json bench-gate bench-gate-update profile cover determinism trace-smoke store-smoke serve-smoke fuzz ci
 
 build:
 	$(GO) build $(PKGS)
@@ -56,7 +62,7 @@ bench:
 
 # Timed benchmark runs converted to the BENCH_ci.json record CI archives.
 bench-json:
-	$(GO) test -bench 'Frame' -benchmem -count 5 -run '^$$' -timeout 0 . | tee /tmp/libra-bench.txt
+	$(GO) test $(BENCH_TIMED) | tee /tmp/libra-bench.txt
 	$(GO) run ./cmd/benchjson -o BENCH_ci.json < /tmp/libra-bench.txt
 
 # Allocation/perf regression gate against the committed BENCH_ci.json:
@@ -64,12 +70,22 @@ bench-json:
 # machine-independent), ns/op and B/op only warn (runner noise). Refresh the
 # baseline with `make bench-gate-update` after an intentional change.
 bench-gate:
-	$(GO) test -bench 'Frame' -benchmem -count 5 -run '^$$' -timeout 0 . | tee /tmp/libra-bench.txt
+	$(GO) test $(BENCH_TIMED) | tee /tmp/libra-bench.txt
 	$(GO) run ./cmd/benchjson -check -baseline BENCH_ci.json < /tmp/libra-bench.txt
 
 bench-gate-update:
-	$(GO) test -bench 'Frame' -benchmem -count 5 -run '^$$' -timeout 0 . | tee /tmp/libra-bench.txt
+	$(GO) test $(BENCH_TIMED) | tee /tmp/libra-bench.txt
 	$(GO) run ./cmd/benchjson -check -update -baseline BENCH_ci.json < /tmp/libra-bench.txt
+
+# CPU profile of the steady-state frame (BenchmarkFrame) and its
+# `go tool pprof -top` listing, the measurement an optimization starts from:
+# it should target the top entry, not a guess.
+profile:
+	$(GO) test -run '^$$' -bench '^BenchmarkFrame$$' -benchtime 20x -timeout 0 \
+		-cpuprofile $(PROFILE_DIR)/libra-frame.pprof -o $(PROFILE_DIR)/libra-frame.test .
+	$(GO) tool pprof -top $(PROFILE_DIR)/libra-frame.test $(PROFILE_DIR)/libra-frame.pprof \
+		> $(PROFILE_DIR)/libra-frame-top.txt
+	head -n 30 $(PROFILE_DIR)/libra-frame-top.txt
 
 # Statement coverage with the same floor the CI coverage job enforces.
 cover:

@@ -9,8 +9,10 @@
 //	go test -bench . -benchmem -count 5 -run '^$' ./... | benchjson -check -update -baseline BENCH_ci.json
 //
 // Each benchmark line becomes one entry (repeated -count runs stay separate
-// entries — downstream tooling aggregates); goos/goarch/cpu headers and the
-// commit SHA ($GITHUB_SHA, or -sha) annotate the file.
+// entries — downstream tooling aggregates) named without go test's
+// -GOMAXPROCS suffix, which is kept as the entry's "procs" instead;
+// goos/goarch/cpu headers, the host's CPU count and the commit SHA
+// ($GITHUB_SHA, or -sha) annotate the file.
 //
 // -check compares the run against a committed baseline and exits non-zero on
 // regression: allocs/op is a hard gate (deterministic, machine-independent),
@@ -35,6 +37,7 @@ import (
 // Entry is one benchmark measurement line.
 type Entry struct {
 	Name        string             `json:"name"`
+	Procs       int                `json:"procs"` // GOMAXPROCS of the run
 	Iterations  int64              `json:"iterations"`
 	NsPerOp     float64            `json:"ns_per_op"`
 	BytesPerOp  float64            `json:"bytes_per_op,omitempty"`
@@ -51,6 +54,7 @@ type Record struct {
 	GOOS       string  `json:"goos,omitempty"`
 	GOARCH     string  `json:"goarch,omitempty"`
 	CPU        string  `json:"cpu,omitempty"`
+	NumCPU     int     `json:"num_cpu"` // logical CPUs of the recording host
 	Benchmarks []Entry `json:"benchmarks"`
 }
 
@@ -76,6 +80,7 @@ func main() {
 	rec.SHA = resolveSHA(*sha)
 	rec.Date = time.Now().UTC().Format(time.RFC3339)
 	rec.GoVersion = runtime.Version()
+	rec.NumCPU = runtime.NumCPU()
 
 	switch {
 	case *check && *update:
@@ -189,7 +194,8 @@ func parseBenchLine(line string) (Entry, bool) {
 	if err != nil {
 		return Entry{}, false
 	}
-	e := Entry{Name: trimCPUSuffix(fields[0]), Iterations: iters}
+	name, procs := trimCPUSuffix(fields[0])
+	e := Entry{Name: name, Procs: procs, Iterations: iters}
 	for i := 2; i+1 < len(fields); i += 2 {
 		v, err := strconv.ParseFloat(fields[i], 64)
 		if err != nil {
@@ -217,15 +223,17 @@ func parseBenchLine(line string) (Entry, bool) {
 	return e, true
 }
 
-// trimCPUSuffix drops the -GOMAXPROCS suffix go test appends to benchmark
-// names (BenchmarkFrame-8 → BenchmarkFrame).
-func trimCPUSuffix(name string) string {
+// trimCPUSuffix splits the -GOMAXPROCS suffix go test appends to benchmark
+// names off (BenchmarkFrame-8 → BenchmarkFrame, 8). go test omits the
+// suffix when GOMAXPROCS is 1.
+func trimCPUSuffix(name string) (string, int) {
 	i := strings.LastIndexByte(name, '-')
 	if i < 0 {
-		return name
+		return name, 1
 	}
-	if _, err := strconv.Atoi(name[i+1:]); err != nil {
-		return name
+	procs, err := strconv.Atoi(name[i+1:])
+	if err != nil {
+		return name, 1
 	}
-	return name[:i]
+	return name[:i], procs
 }

@@ -29,7 +29,7 @@ func TestParse(t *testing.T) {
 		t.Fatalf("parsed %d benchmarks, want 3", len(rec.Benchmarks))
 	}
 	b := rec.Benchmarks[0]
-	if b.Name != "BenchmarkFrame" || b.Iterations != 10 || b.NsPerOp != 119334021 ||
+	if b.Name != "BenchmarkFrame" || b.Procs != 8 || b.Iterations != 10 || b.NsPerOp != 119334021 ||
 		b.BytesPerOp != 9147977 || b.AllocsPerOp != 32155 {
 		t.Errorf("first entry = %+v", b)
 	}
@@ -38,7 +38,7 @@ func TestParse(t *testing.T) {
 		t.Errorf("second entry = %+v", rec.Benchmarks[1])
 	}
 	c := rec.Benchmarks[2]
-	if c.Name != "BenchmarkTileFetch" || c.MBPerSec != 61.41 || c.Metrics["tiles/op"] != 3.5 {
+	if c.Name != "BenchmarkTileFetch" || c.Procs != 1 || c.MBPerSec != 61.41 || c.Metrics["tiles/op"] != 3.5 {
 		t.Errorf("custom-metric entry = %+v", c)
 	}
 }
@@ -72,7 +72,7 @@ func TestRecordJSONShape(t *testing.T) {
 	if back.SHA != "deadbeef" || len(back.Benchmarks) != 3 {
 		t.Errorf("round-trip = %+v", back)
 	}
-	for _, key := range []string{`"sha"`, `"date"`, `"ns_per_op"`, `"allocs_per_op"`} {
+	for _, key := range []string{`"sha"`, `"date"`, `"num_cpu"`, `"procs"`, `"ns_per_op"`, `"allocs_per_op"`} {
 		if !strings.Contains(string(raw), key) {
 			t.Errorf("JSON missing %s: %s", key, raw)
 		}
@@ -80,15 +80,19 @@ func TestRecordJSONShape(t *testing.T) {
 }
 
 func TestTrimCPUSuffix(t *testing.T) {
-	for in, want := range map[string]string{
-		"BenchmarkFrame-8":   "BenchmarkFrame",
-		"BenchmarkFrame":     "BenchmarkFrame",
-		"BenchmarkA/sub-16":  "BenchmarkA/sub",
-		"BenchmarkOdd-name":  "BenchmarkOdd-name",
-		"BenchmarkFrame-8x8": "BenchmarkFrame-8x8",
+	type split struct {
+		name  string
+		procs int
+	}
+	for in, want := range map[string]split{
+		"BenchmarkFrame-8":   {"BenchmarkFrame", 8},
+		"BenchmarkFrame":     {"BenchmarkFrame", 1},
+		"BenchmarkA/sub-16":  {"BenchmarkA/sub", 16},
+		"BenchmarkOdd-name":  {"BenchmarkOdd-name", 1},
+		"BenchmarkFrame-8x8": {"BenchmarkFrame-8x8", 1},
 	} {
-		if got := trimCPUSuffix(in); got != want {
-			t.Errorf("trimCPUSuffix(%q) = %q, want %q", in, got, want)
+		if name, procs := trimCPUSuffix(in); name != want.name || procs != want.procs {
+			t.Errorf("trimCPUSuffix(%q) = %q, %d, want %q, %d", in, name, procs, want.name, want.procs)
 		}
 	}
 }

@@ -110,6 +110,9 @@ type Renderer struct {
 	filter Filtering
 	zbuf   [tiling.TileSize * tiling.TileSize]float32
 	cbuf   [tiling.TileSize * tiling.TileSize]uint32
+	// levels holds the current quad's mip level per texture slot once its
+	// UV derivatives are known: per-quad scratch, reused across quads.
+	levels []int
 }
 
 // NewRenderer builds a tile renderer for the given grid with nearest
@@ -198,9 +201,8 @@ func makeEdge(ax, ay, bx, by float32) edge {
 	a := -(by - ay)
 	b := bx - ax
 	c := -(a*ax + b*ay)
-	// Top-left rule in a y-up space: left edges go down (b < 0 means the
-	// edge direction has dy < 0 — wait, dy = by-ay = b's source); an edge is
-	// "top" if it is horizontal and points left, "left" if it goes down.
+	// Top-left rule in a y-up space: an edge is "left" if it goes down
+	// (dy < 0) and "top" if it is horizontal and points left.
 	dy := by - ay
 	dx := bx - ax
 	topLeft := dy < 0 || (dy == 0 && dx < 0)
@@ -248,11 +250,12 @@ func (r *Renderer) rasterPrim(p *gpipe.Primitive, mat *scene.Material, rect geom
 	qx0, qy0 := b.MinX&^1, b.MinY&^1
 	invW0, invW1, invW2 := 1/v0.Pos.W, 1/v1.Pos.W, 1/v2.Pos.W
 
-	// Attribute interpolation at a pixel center.
-	interp := func(px, py float32) (z float32, uv geom.Vec2, col geom.Vec3, ok bool) {
-		l0 := e12.eval(px, py) * invArea
-		l1 := e20.eval(px, py) * invArea
-		l2 := e01.eval(px, py) * invArea
+	// Attribute interpolation from the three edge values at a pixel center
+	// (the barycentrics before normalization by the area).
+	interp := func(ev12, ev20, ev01 float32) (z float32, uv geom.Vec2, col geom.Vec3, ok bool) {
+		l0 := ev12 * invArea
+		l1 := ev20 * invArea
+		l2 := ev01 * invArea
 		z = l0*v0.Pos.Z + l1*v1.Pos.Z + l2*v2.Pos.Z
 		q0 := l0 * invW0
 		q1 := l1 * invW1
@@ -303,7 +306,7 @@ func (r *Renderer) rasterPrim(p *gpipe.Primitive, mat *scene.Material, rect geom
 					continue
 				}
 				w.PixelsCovered++
-				z, uv, col, ok := interp(px, py)
+				z, uv, col, ok := interp(ev12, ev20, ev01)
 				if !ok {
 					continue
 				}
@@ -321,18 +324,28 @@ func (r *Renderer) rasterPrim(p *gpipe.Primitive, mat *scene.Material, rect geom
 				var texel geom.Vec3
 				if nTex > 0 && len(mat.Textures) > 0 {
 					if !haveDeriv {
-						_, uvX, _, okX := interp(px+1, py)
-						_, uvY, _, okY := interp(px, py+1)
+						_, uvX, _, okX := interp(e12.eval(px+1, py), e20.eval(px+1, py), e01.eval(px+1, py))
+						_, uvY, _, okY := interp(e12.eval(px, py+1), e20.eval(px, py+1), e01.eval(px, py+1))
 						if okX && okY {
 							duvx = uvX.Sub(uv)
 							duvy = uvY.Sub(uv)
 							haveDeriv = true
+							// The derivatives are fixed for the rest of the
+							// quad, so each sampled slot's level is too.
+							r.levels = r.levels[:0]
+							for _, tex := range mat.Textures[:min(nTex, len(mat.Textures))] {
+								r.levels = append(r.levels, mipLevel(duvx, duvy, tex.W, tex.H))
+							}
 						}
 					}
 					quad.Samples += uint16(nTex)
 					for s2 := 0; s2 < nTex; s2++ {
-						tex := mat.Textures[s2%len(mat.Textures)]
-						level := mipLevel(duvx, duvy, tex.W, tex.H)
+						j := s2 % len(mat.Textures)
+						tex := mat.Textures[j]
+						level := 0 // what zero derivatives select
+						if haveDeriv {
+							level = r.levels[j]
+						}
 						addr := r.sampleFootprint(w, texBefore, tex, uv, level)
 						if s2 == 0 {
 							texel = sampleColor(tex.ID, addr)
@@ -392,18 +405,32 @@ func appendUniqueLine(dst *[]uint64, start int, line uint64) {
 	*dst = append(*dst, line)
 }
 
-// mipLevel selects the mip level from screen-space UV derivatives, matching
-// the standard log2(max texel footprint) rule.
+// nonFiniteLevel is the mip level of a non-finite footprint (UV derivatives
+// overflowing float32, or NaN). TexelAddr clamps it to level 0, LevelDims
+// answers the base dimensions, and trilinear's level+1 clamps to 0 as well.
+// It is what a float→int conversion of +Inf or NaN yields on amd64, stated
+// explicitly so the level does not depend on the CPU.
+const nonFiniteLevel = math.MinInt
+
+// mipLevel selects the mip level from screen-space UV derivatives by the
+// standard floor(log2(texel footprint)) rule. With rho the larger squared
+// footprint that is floor(log2(rho)/2): for rho > 1, half the unbiased
+// exponent of rho, read exactly from its float bits (DESIGN.md §16).
 func mipLevel(duvx, duvy geom.Vec2, texW, texH int) int {
 	fx := duvx.X * float32(texW)
 	fy := duvx.Y * float32(texH)
 	gx := duvy.X * float32(texW)
 	gy := duvy.Y * float32(texH)
-	rho := math.Max(float64(fx*fx+fy*fy), float64(gx*gx+gy*gy))
+	// The builtin max propagates NaN and +Inf like math.Max.
+	rho := float64(max(fx*fx+fy*fy, gx*gx+gy*gy))
 	if rho <= 1 {
 		return 0
 	}
-	return int(0.5 * math.Log2(rho))
+	exp := int(math.Float64bits(rho)>>52) & 0x7FF
+	if exp == 0x7FF { // +Inf or NaN
+		return nonFiniteLevel
+	}
+	return (exp - 1023) >> 1
 }
 
 // sampleColor is the procedural stand-in for texel data: a deterministic
@@ -414,11 +441,19 @@ func sampleColor(texID int, addr uint64) geom.Vec3 {
 	h ^= h >> 31
 	h *= 0x94D049BB133111EB
 	h ^= h >> 29
-	r := float32(h&0xFF) / 255
-	g := float32((h>>8)&0xFF) / 255
-	b := float32((h>>16)&0xFF) / 255
+	r := channel[h&0xFF]
+	g := channel[(h>>8)&0xFF]
+	b := channel[(h>>16)&0xFF]
 	return geom.V3(0.25+0.75*r, 0.25+0.75*g, 0.25+0.75*b)
 }
+
+// channel maps an 8-bit channel value c to float32(c)/255.
+var channel = func() (t [256]float32) {
+	for c := range t {
+		t[c] = float32(c) / 255
+	}
+	return t
+}()
 
 // blendPixel combines a shaded color with the Color Buffer contents.
 func blendPixel(mode scene.BlendMode, dst uint32, src geom.Vec3) uint32 {

@@ -209,3 +209,33 @@ func TestShaderCosts(t *testing.T) {
 		t.Error("lit-detail must cost more than sprite")
 	}
 }
+
+// TestLevelDimsMatchesHalving pins the per-level dimension tables to the
+// halving rule they replace, for every level including negative ones and
+// levels past Levels (bilinear footprints ask for those).
+func TestLevelDimsMatchesHalving(t *testing.T) {
+	halve := func(tx *Texture, l int) (int, int) {
+		w, h := tx.W, tx.H
+		for ; l > 0; l-- {
+			w = max(1, w/2)
+			h = max(1, h/2)
+		}
+		return w, h
+	}
+	for _, tx := range []*Texture{
+		NewTexture(0, 1, 1, 0, 0),
+		NewTexture(0, 256, 128, 0, 0),
+		NewTexture(0, 16, 1024, 0, 0),
+		NewTexture(0, 1024, 1024, 0, 3),
+		NewTexture(0, 64, 64, 0, 4),
+	} {
+		for l := -3; l < 40; l++ {
+			gw, gh := tx.LevelDims(l)
+			ww, wh := halve(tx, l)
+			if gw != ww || gh != wh {
+				t.Errorf("%dx%d (%d levels) level %d: dims %dx%d, want %dx%d",
+					tx.W, tx.H, tx.Levels, l, gw, gh, ww, wh)
+			}
+		}
+	}
+}

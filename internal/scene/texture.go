@@ -26,7 +26,10 @@ type Texture struct {
 	Base   uint64 // start address in the texture region
 
 	levelOffset []uint64 // byte offset of each mip level from Base
-	totalBytes  uint64
+	// levelW and levelH are the dimensions of every level of the full chain
+	// down to 1×1, even past Levels, so LevelDims is one clamped lookup.
+	levelW, levelH []int
+	totalBytes     uint64
 }
 
 // NewTexture lays out a texture with a full mip chain down to 1×1 (or fewer
@@ -36,16 +39,21 @@ func NewTexture(id, w, h int, base uint64, maxLevels int) *Texture {
 		panic("scene: texture dimensions must be positive powers of two")
 	}
 	t := &Texture{ID: id, W: w, H: h, Base: base}
-	levels := 1 + bits.Len(uint(max(w, h))) - 1
+	full := bits.Len(uint(max(w, h))) // levels of the full chain down to 1×1
+	levels := full
 	if maxLevels > 0 && levels > maxLevels {
 		levels = maxLevels
 	}
 	t.Levels = levels
 	off := uint64(0)
 	lw, lh := w, h
-	for l := 0; l < levels; l++ {
-		t.levelOffset = append(t.levelOffset, off)
-		off += uint64(lw*lh) * TexelBytes
+	for l := 0; l < full; l++ {
+		t.levelW = append(t.levelW, lw)
+		t.levelH = append(t.levelH, lh)
+		if l < levels {
+			t.levelOffset = append(t.levelOffset, off)
+			off += uint64(lw*lh) * TexelBytes
+		}
 		lw = max(1, lw/2)
 		lh = max(1, lh/2)
 	}
@@ -56,14 +64,12 @@ func NewTexture(id, w, h int, base uint64, maxLevels int) *Texture {
 // SizeBytes returns the full storage footprint including mips.
 func (t *Texture) SizeBytes() uint64 { return t.totalBytes }
 
-// LevelDims returns the dimensions of mip level l.
+// LevelDims returns the dimensions of mip level l: the base dimensions for
+// l <= 0, and the halving continued to 1×1 for any l, including levels past
+// Levels.
 func (t *Texture) LevelDims(l int) (w, h int) {
-	w, h = t.W, t.H
-	for ; l > 0; l-- {
-		w = max(1, w/2)
-		h = max(1, h/2)
-	}
-	return w, h
+	l = min(max(l, 0), len(t.levelW)-1)
+	return t.levelW[l], t.levelH[l]
 }
 
 // TexelAddr returns the byte address of the texel at normalized coordinates
@@ -76,7 +82,7 @@ func (t *Texture) TexelAddr(u, v float32, l int) uint64 {
 	if l >= t.Levels {
 		l = t.Levels - 1
 	}
-	w, h := t.LevelDims(l)
+	w, h := t.levelW[l], t.levelH[l]
 	// Repeat wrap into [0,1).
 	u -= float32(int(u))
 	if u < 0 {

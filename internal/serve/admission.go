@@ -68,10 +68,17 @@ func (a *Admission) Acquire(ctx context.Context) (release func(), err error) {
 		return a.admit(), nil
 	default:
 	}
-	if n := a.waiting.Add(1); n > a.maxQueue {
-		a.waiting.Add(-1)
-		a.rejected.Add(1)
-		return nil, ErrQueueFull
+	// Reserve a queue place by compare-and-swap so that waiting never
+	// exceeds maxQueue, not even between an increment and its rollback.
+	for {
+		n := a.waiting.Load()
+		if n >= a.maxQueue {
+			a.rejected.Add(1)
+			return nil, ErrQueueFull
+		}
+		if a.waiting.CompareAndSwap(n, n+1) {
+			break
+		}
 	}
 	defer a.waiting.Add(-1)
 	select {
