@@ -3,11 +3,12 @@
 
 GO ?= go
 PKGS := ./...
-# Packages the parallel experiment engine, the intra-frame render farm and
-# the epoch-parallel timing replay exercise concurrently — the race
-# detector's regression surface (telemetry: one shared Trace fed by the pool;
-# raster: disjoint-tile FrameBuffer writes; sim/mem: the replay classifier
-# farm's stream handshake and the L1 classification split; serve: concurrent
+# Packages the parallel experiment engine, the intra-frame render-ahead
+# helpers and the epoch-parallel timing replay exercise concurrently — the
+# race detector's regression surface (telemetry: one shared Trace fed by the
+# pool; raster: disjoint-tile FrameBuffer writes; sim/mem: render-ahead's
+# claim/wait handshake, the replay classifier farm's stream handshake and
+# the L1 classification split; serve: concurrent
 # /v1/run with mid-flight cancellation against the shared singleflight
 # runner).
 RACE_PKGS := . ./internal/experiments ./internal/core ./internal/sim ./internal/mem ./internal/telemetry ./internal/raster ./internal/resultstore ./internal/serve
@@ -17,13 +18,23 @@ RACE_PKGS := . ./internal/experiments ./internal/core ./internal/sim ./internal/
 # coverage job.
 COVERAGE_MIN ?= 73.5
 
+# The concurrency tests the stress lane repeats under the race detector: the
+# service's admission, drain and cancellation paths, the experiment
+# singleflight and pool, the result store's locks and atomic writes, and the
+# engine's render-ahead helpers and replay classifier farm. -short trims the
+# render-ahead equivalence matrices to their most concurrent corner.
+STRESS_PKGS := ./internal/serve ./internal/experiments ./internal/resultstore ./internal/sim
+STRESS_RUN := '^(TestAdmission|TestConcurrentRunWithCancellation|TestShutdown|TestRunBackpressure429|TestRequestTimeout504|TestSlowHeadersDisconnected|TestSingleflight|TestFollower|TestCancelledLeader|TestCancelledRun|TestCancelAborts|TestPool|TestStoreSharedKeyOneSimulation|TestLockMutualExclusion|TestStaleLockTakeover|TestPutOverwriteIsAtomic|TestRenderAhead|TestReplayParallelMatchesSerial|TestReplayClassifierPanicPropagates)'
+
 # The timed benchmarks BENCH_ci.json records and gates: the end-to-end frame
-# rows of the root package and the raster layer's row beneath them.
-BENCH_TIMED := -bench 'Frame|RenderTileInto' -benchmem -count 5 -run '^$$' -timeout 0 . ./internal/raster
+# rows of the root package and the raster layer's row beneath them, each at
+# one and two CPUs, so the render-ahead helper's single-CPU cost is gated
+# beside its two-CPU gain.
+BENCH_TIMED := -bench 'Frame|RenderTileInto' -benchmem -count 5 -cpu 1,2 -run '^$$' -timeout 0 . ./internal/raster
 # Where `make profile` writes the CPU profile and its -top listing.
 PROFILE_DIR ?= /tmp
 
-.PHONY: build test race fmt vet lint lint-fix-check bench bench-json bench-gate bench-gate-update profile cover determinism trace-smoke store-smoke serve-smoke fuzz ci
+.PHONY: build test race stress fmt vet lint lint-fix-check bench bench-json bench-gate bench-gate-update profile cover determinism trace-smoke store-smoke serve-smoke fuzz ci
 
 build:
 	$(GO) build $(PKGS)
@@ -33,6 +44,12 @@ test:
 
 race:
 	$(GO) test -race $(RACE_PKGS)
+
+# The concurrency tests, twenty times each under the race detector, so a
+# flaky interleaving fails the change that introduces it rather than a
+# later, unrelated one.
+stress:
+	$(GO) test -race -short -count=20 -run $(STRESS_RUN) $(STRESS_PKGS)
 
 fmt:
 	@unformatted=$$(gofmt -l .); \
@@ -96,9 +113,9 @@ cover:
 		|| { echo "coverage $$total% is below the $(COVERAGE_MIN)% floor"; exit 1; }
 
 # Byte-identical suite output between serial and fanned-out runs, for the
-# experiment pool (-jobs), the intra-frame render farm (-sim-workers) and the
-# epoch-parallel timing replay (-replay-workers), composed: the fully
-# parallel run must reproduce the fully serial one.
+# experiment pool (-jobs), the intra-frame render-ahead helpers
+# (-sim-workers) and the epoch-parallel timing replay (-replay-workers),
+# composed: the fully parallel run must reproduce the fully serial one.
 determinism:
 	$(GO) build -o /tmp/libra-suite ./cmd/suite
 	/tmp/libra-suite -suite mem -frames 4 -warmup 1 -jobs 1 -sim-workers 1 -quiet > /tmp/libra-suite-serial.txt
@@ -160,4 +177,4 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeRunRequest -fuzztime 15s ./internal/serve
 	$(GO) test -run '^$$' -fuzz FuzzTileSignature -fuzztime 15s ./internal/tiling
 
-ci: build vet fmt lint lint-fix-check test race bench bench-gate determinism trace-smoke store-smoke serve-smoke fuzz cover
+ci: build vet fmt lint lint-fix-check test race stress bench bench-gate determinism trace-smoke store-smoke serve-smoke fuzz cover

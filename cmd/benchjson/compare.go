@@ -53,10 +53,60 @@ func medianOf(es []Entry, get func(Entry) float64) float64 {
 // Compare diffs current against baseline, returning hard failures (which
 // must fail CI) and soft warnings (printed, non-fatal). Benchmarks present in
 // the baseline but absent from the current run are hard failures: a gate that
-// silently stops measuring is not a gate.
+// silently stops measuring is not a gate. Rows compare only against rows of
+// the same GOMAXPROCS (go test -cpu), so a run at one and two CPUs gates
+// each setting on its own; names carry a -procs suffix in the messages when
+// more than one setting is present.
 func Compare(baseline, current *Record) (failures, warnings []string) {
-	base := medians(baseline.Benchmarks)
-	cur := medians(current.Benchmarks)
+	procs := map[int]bool{}
+	for _, rec := range []*Record{baseline, current} {
+		for _, e := range rec.Benchmarks {
+			procs[e.Procs] = true
+		}
+	}
+	order := make([]int, 0, len(procs))
+	for p := range procs {
+		order = append(order, p)
+	}
+	sort.Ints(order)
+	var fresh []string
+	for _, p := range order {
+		label := func(name string) string {
+			if len(order) > 1 {
+				return fmt.Sprintf("%s-%d", name, p)
+			}
+			return name
+		}
+		f, w, n := compareProcs(withProcs(baseline.Benchmarks, p), withProcs(current.Benchmarks, p), label)
+		failures = append(failures, f...)
+		warnings = append(warnings, w...)
+		fresh = append(fresh, n...)
+	}
+	if len(fresh) > 0 {
+		sort.Strings(fresh)
+		warnings = append(warnings, fmt.Sprintf(
+			"new benchmarks not in baseline (run -update to track): %s",
+			strings.Join(fresh, ", ")))
+	}
+	return failures, warnings
+}
+
+// withProcs returns the entries recorded at GOMAXPROCS p.
+func withProcs(entries []Entry, p int) []Entry {
+	var out []Entry
+	for _, e := range entries {
+		if e.Procs == p {
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
+// compareProcs is Compare over the rows of one GOMAXPROCS setting; fresh
+// lists current benchmarks the baseline lacks.
+func compareProcs(baseline, current []Entry, label func(string) string) (failures, warnings, fresh []string) {
+	base := medians(baseline)
+	cur := medians(current)
 
 	names := make([]string, 0, len(base))
 	for name := range base {
@@ -69,37 +119,30 @@ func Compare(baseline, current *Record) (failures, warnings []string) {
 		c, ok := cur[name]
 		if !ok {
 			failures = append(failures, fmt.Sprintf(
-				"%s: present in baseline but missing from this run", name))
+				"%s: present in baseline but missing from this run", label(name)))
 			continue
 		}
 		if limit := b.AllocsPerOp*(1+allocTolFrac) + allocTolAbs; c.AllocsPerOp > limit {
 			failures = append(failures, fmt.Sprintf(
 				"%s: allocs/op %.0f exceeds baseline %.0f (limit %.0f)",
-				name, c.AllocsPerOp, b.AllocsPerOp, limit))
+				label(name), c.AllocsPerOp, b.AllocsPerOp, limit))
 		}
 		if b.NsPerOp > 0 && c.NsPerOp > b.NsPerOp*(1+nsSoftFrac) {
 			warnings = append(warnings, fmt.Sprintf(
 				"%s: ns/op %.0f is %.0f%% over baseline %.0f (soft threshold %.0f%%)",
-				name, c.NsPerOp, 100*(c.NsPerOp/b.NsPerOp-1), b.NsPerOp, 100*nsSoftFrac))
+				label(name), c.NsPerOp, 100*(c.NsPerOp/b.NsPerOp-1), b.NsPerOp, 100*nsSoftFrac))
 		}
 		if b.BytesPerOp > 0 && c.BytesPerOp > b.BytesPerOp*(1+bytesSoftFrac) {
 			warnings = append(warnings, fmt.Sprintf(
 				"%s: B/op %.0f is %.0f%% over baseline %.0f (soft threshold %.0f%%)",
-				name, c.BytesPerOp, 100*(c.BytesPerOp/b.BytesPerOp-1), b.BytesPerOp, 100*bytesSoftFrac))
+				label(name), c.BytesPerOp, 100*(c.BytesPerOp/b.BytesPerOp-1), b.BytesPerOp, 100*bytesSoftFrac))
 		}
 	}
 
-	var fresh []string
 	for name := range cur {
 		if _, ok := base[name]; !ok {
-			fresh = append(fresh, name)
+			fresh = append(fresh, label(name))
 		}
 	}
-	if len(fresh) > 0 {
-		sort.Strings(fresh)
-		warnings = append(warnings, fmt.Sprintf(
-			"new benchmarks not in baseline (run -update to track): %s",
-			strings.Join(fresh, ", ")))
-	}
-	return failures, warnings
+	return failures, warnings, fresh
 }

@@ -125,3 +125,26 @@ BenchmarkX 1 20 ns/op 0 B/op 6 allocs/op
 		t.Errorf("even-count median = %+v", x)
 	}
 }
+
+// TestCompareGatesEachProcsSetting: rows of a -cpu 1,2 run compare only
+// against baseline rows of the same GOMAXPROCS, so a regression at one
+// setting is neither masked nor blamed on the other.
+func TestCompareGatesEachProcsSetting(t *testing.T) {
+	base := fixture(t, `BenchmarkFrame 10 100000000 ns/op 50000 B/op 30 allocs/op
+BenchmarkFrame-2 10 60000000 ns/op 50000 B/op 45 allocs/op
+`)
+	cur := fixture(t, `BenchmarkFrame 10 100000000 ns/op 50000 B/op 30 allocs/op
+BenchmarkFrame-2 10 60000000 ns/op 50000 B/op 60 allocs/op
+`)
+	failures, _ := Compare(base, cur)
+	if len(failures) != 1 || !strings.HasPrefix(failures[0], "BenchmarkFrame-2:") {
+		t.Errorf("failures = %v, want one allocs/op regression at BenchmarkFrame-2", failures)
+	}
+	// Baseline at two CPUs only: the new one-CPU rows are fresh, not
+	// compared against the two-CPU median.
+	base = fixture(t, "BenchmarkFrame-2 10 60000000 ns/op 50000 B/op 45 allocs/op\n")
+	failures, warnings := Compare(base, cur)
+	if len(failures) != 1 || !strings.Contains(warnings[len(warnings)-1], "BenchmarkFrame-1") {
+		t.Errorf("failures = %v warnings = %v, want the -2 regression and a fresh BenchmarkFrame-1", failures, warnings)
+	}
+}

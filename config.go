@@ -65,21 +65,25 @@ type Config struct {
 	RasterUnits int
 	CoresPerRU  int
 
-	// SimWorkers shards one simulation's functional rasterization across
-	// that many host worker goroutines (intra-frame parallelism); 0 or 1 is
-	// the serial reference engine. Results are byte-identical for any value:
-	// cycle counts, statistics, telemetry and frame hashes do not change.
-	// Compose with the experiment drivers' -jobs fan-out: -jobs spreads
-	// *across* simulations, SimWorkers speeds up each *single* simulation.
+	// SimWorkers is the number of render-ahead helpers of one simulation
+	// (intra-frame parallelism, DESIGN §9): goroutines that render the
+	// tiles the scheduler dispatches next while the timing replay runs. 0
+	// and 1 both mean one helper; the engine caps the count at
+	// GOMAXPROCS−1, so a single-CPU process runs the serial engine. Results
+	// are byte-identical for any value: cycle counts, statistics, telemetry
+	// and frame hashes do not change. Compose with the experiment drivers'
+	// -jobs fan-out: -jobs spreads *across* simulations, SimWorkers speeds
+	// up each *single* simulation.
 	SimWorkers int
 
 	// ReplayWorkers parallelizes the cycle-accurate timing replay of each
 	// simulation across that many classifier goroutines (sim.Config.
 	// ReplayWorkers, DESIGN §15); 0 or 1 keeps the serial replay. Like
 	// SimWorkers it is host parallelism: results are byte-identical for any
-	// value and it is excluded from result-store keys. The two compose —
-	// SimWorkers shards the functional phase, ReplayWorkers the timing
-	// phase.
+	// value and it is excluded from result-store keys. The two compose:
+	// above 1 the whole frame is rendered first on SimWorkers (at least
+	// ReplayWorkers) farm workers, then the timing phase is classified in
+	// parallel.
 	ReplayWorkers int
 
 	Policy Policy

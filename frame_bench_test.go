@@ -47,11 +47,14 @@ func BenchmarkFrameRE(b *testing.B) {
 	}
 }
 
-// BenchmarkFrameWorkers times the same steady-state frame under the serial
-// reference engine (workers=1) and the parallel rasterization farm — the
-// speedup record for Config.SimWorkers. Every sub-benchmark computes
-// byte-identical results; only wall-clock time may differ, and it only
-// improves when the host grants the process multiple CPUs.
+// BenchmarkFrameWorkers times the same steady-state frame with SimWorkers
+// render-ahead helpers — goroutines rendering the scheduler's upcoming
+// tiles while the timing replay runs — the speedup record for
+// Config.SimWorkers. The engine caps the helpers at GOMAXPROCS−1, so
+// workers=1 is already one helper on a multi-CPU host, larger values only
+// differ where the host grants more CPUs, and under -cpu 1 every row is the
+// serial engine. Every sub-benchmark computes byte-identical results; only
+// wall-clock time may differ.
 func BenchmarkFrameWorkers(b *testing.B) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
@@ -74,7 +77,8 @@ func BenchmarkFrameWorkers(b *testing.B) {
 // BenchmarkFrameReplayWorkers times the same steady-state frame under the
 // serial timing replay (replay-workers=1) and the epoch-parallel classifier
 // farm — the speedup record for Config.ReplayWorkers, composed with the
-// 4-worker rasterization farm it overlaps. Every sub-benchmark computes
+// 4-worker rasterization farm it overlaps (the farm renders the whole frame
+// first when ReplayWorkers > 1; replay-workers=1 is render-ahead). Every sub-benchmark computes
 // byte-identical results; only wall-clock time may differ, and it only
 // improves when the host grants the process multiple CPUs.
 func BenchmarkFrameReplayWorkers(b *testing.B) {

@@ -216,6 +216,10 @@ type GPU struct {
 
 	adaptive  *sched.Adaptive
 	prevTiles *stats.TileTable
+	// supers caches the supertile grid of each size, built on first use:
+	// a grid precomputes its tile lists, so rebuilding it every frame
+	// would allocate.
+	supers map[int]tiling.SupertileGrid
 
 	traceSink func(raster.TileWork)
 	rec       telemetry.Recorder
@@ -422,11 +426,11 @@ func (g *GPU) RenderFrame(sc *scene.Scene) FrameResult {
 func (g *GPU) buildScheduler() (sched.Scheduler, sched.OrderMode, int) {
 	switch g.cfg.Mode {
 	case ModeStaticSupertile:
-		super := tiling.NewSupertileGrid(g.grid, g.cfg.StaticSupertile)
+		super := g.supertiles(g.cfg.StaticSupertile)
 		return sched.NewStaticSupertileQueue(super, g.cfg.Sim.RasterUnits),
 			sched.ModeZOrder, g.cfg.StaticSupertile
 	case ModeTemperature:
-		super := tiling.NewSupertileGrid(g.grid, g.cfg.StaticSupertile)
+		super := g.supertiles(g.cfg.StaticSupertile)
 		if g.prevTiles == nil {
 			return sched.NewStaticSupertileQueue(super, g.cfg.Sim.RasterUnits),
 				sched.ModeZOrder, g.cfg.StaticSupertile
@@ -436,7 +440,7 @@ func (g *GPU) buildScheduler() (sched.Scheduler, sched.OrderMode, int) {
 			sched.ModeTemperature, g.cfg.StaticSupertile
 	case ModeLIBRA:
 		size := g.capSupertile(g.adaptive.SupertileSize())
-		super := tiling.NewSupertileGrid(g.grid, size)
+		super := g.supertiles(size)
 		if g.adaptive.Mode() == sched.ModeTemperature && g.prevTiles != nil {
 			ranked := sched.RankSupertiles(super, g.prevTiles)
 			return sched.NewTemperature(super, ranked, g.cfg.Sim.RasterUnits),
@@ -450,7 +454,7 @@ func (g *GPU) buildScheduler() (sched.Scheduler, sched.OrderMode, int) {
 	case ModeRandom:
 		return sched.NewRandomQueue(g.grid, int64(g.frameIdx)+12345), sched.ModeZOrder, 0
 	case ModeAltTemperature:
-		super := tiling.NewSupertileGrid(g.grid, g.cfg.StaticSupertile)
+		super := g.supertiles(g.cfg.StaticSupertile)
 		if g.prevTiles == nil {
 			return sched.NewStaticSupertileQueue(super, g.cfg.Sim.RasterUnits),
 				sched.ModeZOrder, g.cfg.StaticSupertile
@@ -463,6 +467,19 @@ func (g *GPU) buildScheduler() (sched.Scheduler, sched.OrderMode, int) {
 	}
 }
 
+// supertiles returns the supertile grid of edge k over the GPU's tile grid.
+func (g *GPU) supertiles(k int) tiling.SupertileGrid {
+	s, ok := g.supers[k]
+	if !ok {
+		if g.supers == nil {
+			g.supers = make(map[int]tiling.SupertileGrid)
+		}
+		s = tiling.NewSupertileGrid(g.grid, k)
+		g.supers[k] = s
+	}
+	return s
+}
+
 // capSupertile shrinks the supertile size until the grid holds enough
 // supertiles to keep every Raster Unit fed (hot/cold dispatch needs a
 // meaningful ranking; a supertile covering most of the screen would leave
@@ -471,8 +488,7 @@ func (g *GPU) buildScheduler() (sched.Scheduler, sched.OrderMode, int) {
 func (g *GPU) capSupertile(size int) int {
 	minSupers := 4 * g.cfg.Sim.RasterUnits
 	for size > 2 {
-		s := tiling.NewSupertileGrid(g.grid, size)
-		if s.NumSupertiles() >= minSupers {
+		if g.supertiles(size).NumSupertiles() >= minSupers {
 			break
 		}
 		size /= 2

@@ -103,8 +103,12 @@ const (
 // per tile — it never reads the FrameBuffer and writes only the pixels of
 // its own tile. Distinct Renderer instances may therefore render distinct
 // tiles of the same frame concurrently, sharing the scene, primitive slice
-// and FrameBuffer, and produce results identical to any serial order. The
-// parallel simulation mode (internal/sim, Config.Workers) depends on this.
+// and FrameBuffer, and produce results identical to any serial order — and
+// a tile may be rendered at any time within its frame, before or after its
+// neighbours, since nothing it reads changes during the frame. The engine's
+// render-ahead helpers (internal/sim, Config.Workers) render tiles ahead of
+// their dispatch on this basis, and the parallel replay's render farm
+// renders the whole frame up front.
 type Renderer struct {
 	grid   tiling.Grid
 	filter Filtering

@@ -83,5 +83,15 @@ func (a *AlternatingTemperature) NextTile(ru int) int {
 	return t
 }
 
+// Peek implements Peeker.
+func (a *AlternatingTemperature) Peek(ru int, dst []int) []int {
+	return peekTiles(a.super, a.pending[ru], dst, func(i int) int {
+		if a.next+i >= len(a.queue) {
+			return -1
+		}
+		return a.queue[a.next+i]
+	})
+}
+
 // Name implements Scheduler.
 func (a *AlternatingTemperature) Name() string { return "alt-temperature" }

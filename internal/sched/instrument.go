@@ -31,3 +31,17 @@ func (s *Instrumented) NextTile(ru int) int {
 	}
 	return t
 }
+
+// Peek implements Peeker by delegating to the wrapped scheduler; one
+// without Peek reports no upcoming tiles.
+func (s *Instrumented) Peek(ru int, dst []int) []int {
+	return peek(s.Scheduler, ru, dst)
+}
+
+// peek is s's Peek when it has one, else no upcoming tiles.
+func peek(s Scheduler, ru int, dst []int) []int {
+	if p, ok := s.(Peeker); ok {
+		return p.Peek(ru, dst)
+	}
+	return dst[:0]
+}

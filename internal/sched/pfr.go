@@ -34,5 +34,10 @@ func (p *PFR) NextTile(ru int) int {
 	return t
 }
 
+// Peek implements Peeker: each RU walks its own queue.
+func (p *PFR) Peek(ru int, dst []int) []int {
+	return dst[:copy(dst, p.queues[ru])]
+}
+
 // Name implements Scheduler.
 func (p *PFR) Name() string { return "pfr" }

@@ -33,3 +33,7 @@ func (r *recorded) NextTile(ru int) int {
 
 // Name implements Scheduler.
 func (r *recorded) Name() string { return r.inner.Name() }
+
+// Peek implements Peeker by delegating to the wrapped scheduler. Peeks are
+// not decisions, so nothing is logged.
+func (r *recorded) Peek(ru int, dst []int) []int { return peek(r.inner, ru, dst) }

@@ -31,6 +31,33 @@ type Scheduler interface {
 	Name() string
 }
 
+// Peeker is implemented by schedulers that can say, without changing any
+// state, which tiles a Raster Unit will be handed next. The raster engine
+// uses it to render upcoming tiles ahead of their dispatch; a scheduler
+// without it simply gets no render-ahead.
+type Peeker interface {
+	// Peek writes into dst the tiles the next len(dst) NextTile(ru) calls
+	// would return if no other RU pulled in between, stopping early when
+	// the RU would run out of work, and returns dst[:n]. It must not
+	// modify the scheduler and must not allocate.
+	Peek(ru int, dst []int) []int
+}
+
+// peekTiles copies pending, then the tiles of the supertiles next(0),
+// next(1), ... (next returns -1 when none remain), into dst: the shared
+// Peek of the supertile-granular schedulers.
+func peekTiles(super tiling.SupertileGrid, pending []int, dst []int, next func(i int) int) []int {
+	n := copy(dst, pending)
+	for i := 0; n < len(dst); i++ {
+		sid := next(i)
+		if sid < 0 {
+			break
+		}
+		n += copy(dst[n:], super.TilesOf(sid))
+	}
+	return dst[:n]
+}
+
 // SingleQueue dispatches tiles from one shared queue — first-come
 // first-served across RUs, preserving the given traversal order.
 type SingleQueue struct {
@@ -57,6 +84,11 @@ func (s *SingleQueue) NextTile(int) int {
 	t := s.order[s.next]
 	s.next++
 	return t
+}
+
+// Peek implements Peeker: every RU pulls the same queue.
+func (s *SingleQueue) Peek(_ int, dst []int) []int {
+	return dst[:copy(dst, s.order[s.next:])]
 }
 
 // Name implements Scheduler.
@@ -103,6 +135,17 @@ func (s *SupertileQueue) NextTile(ru int) int {
 	t := s.pending[ru][0]
 	s.pending[ru] = s.pending[ru][1:]
 	return t
+}
+
+// Peek implements Peeker: the RU's rest of its supertile, then the
+// supertiles it would take next from the shared queue.
+func (s *SupertileQueue) Peek(ru int, dst []int) []int {
+	return peekTiles(s.super, s.pending[ru], dst, func(i int) int {
+		if s.next+i >= len(s.queue) {
+			return -1
+		}
+		return s.queue[s.next+i]
+	})
 }
 
 // Name implements Scheduler.
@@ -190,6 +233,20 @@ func (t *Temperature) NextTile(ru int) int {
 	tile := t.pending[ru][0]
 	t.pending[ru] = t.pending[ru][1:]
 	return tile
+}
+
+// Peek implements Peeker: RU 0 looks down the ranking from the hot end,
+// every other RU up from the cold end.
+func (t *Temperature) Peek(ru int, dst []int) []int {
+	return peekTiles(t.super, t.pending[ru], dst, func(i int) int {
+		if t.lo+i >= t.hi {
+			return -1
+		}
+		if ru == 0 {
+			return t.ranked[t.lo+i]
+		}
+		return t.ranked[t.hi-1-i]
+	})
 }
 
 // Name implements Scheduler.

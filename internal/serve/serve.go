@@ -60,6 +60,17 @@ type Config struct {
 	Log *log.Logger
 }
 
+// Connection timeouts of the HTTP server. A /v1/run request is a few hundred
+// bytes, so honest clients finish headers and body in milliseconds; the
+// bounds only cut off clients that hold a connection open without sending
+// (slowloris) or idle between requests. None bounds a handler's simulation
+// time — that is RequestTimeout's job.
+const (
+	readHeaderTimeout = 10 * time.Second  // request line and headers
+	readTimeout       = 30 * time.Second  // the whole request, body included
+	idleTimeout       = 120 * time.Second // a keep-alive connection between requests
+)
+
 // runnerKey identifies the experiments.Runner serving one frame window. All
 // runners share one result store; the window lives in Runner.P, so each
 // (frames, warmup) pair needs its own.
@@ -115,7 +126,12 @@ func NewServer(ctx context.Context, cfg Config) (*Server, error) {
 		abortBase: abort,
 		runners:   map[runnerKey]*experiments.Runner{},
 	}
-	s.httpSrv = &http.Server{Handler: s.Handler()}
+	s.httpSrv = &http.Server{
+		Handler:           s.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	return s, nil
 }
 

@@ -457,3 +457,64 @@ func TestRequestTimeout504(t *testing.T) {
 		t.Fatalf("timed-out request = %d, body %s, want 504", status, body)
 	}
 }
+
+// TestSlowHeadersDisconnected: the server carries the connection timeouts,
+// and a client that starts a request but never finishes its headers is
+// disconnected once the header timeout expires (shortened here so the test
+// runs in milliseconds), while the server keeps answering others.
+func TestSlowHeadersDisconnected(t *testing.T) {
+	s, err := NewServer(context.Background(), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.httpSrv.ReadHeaderTimeout != readHeaderTimeout || s.httpSrv.ReadTimeout != readTimeout ||
+		s.httpSrv.IdleTimeout != idleTimeout {
+		t.Fatalf("http.Server timeouts = %v/%v/%v, want %v/%v/%v",
+			s.httpSrv.ReadHeaderTimeout, s.httpSrv.ReadTimeout, s.httpSrv.IdleTimeout,
+			readHeaderTimeout, readTimeout, idleTimeout)
+	}
+	s.httpSrv.ReadHeaderTimeout = 50 * time.Millisecond
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- s.Serve(ln) }()
+	defer func() {
+		if err := s.Shutdown(context.Background()); err != nil {
+			t.Error(err)
+		}
+		if err := <-served; err != nil {
+			t.Error(err)
+		}
+	}()
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "POST /v1/run HTTP/1.1\r\nHost: libra\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.SetReadDeadline(time.Now().Add(10 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	// The server closes the connection: EOF (or a reset) well before the
+	// client's own deadline.
+	if _, err := io.Copy(io.Discard, conn); err != nil {
+		if ne, ok := err.(net.Error); ok && ne.Timeout() {
+			t.Fatalf("connection still open after %v", time.Since(start))
+		}
+	}
+
+	resp, err := http.Get("http://" + ln.Addr().String() + "/v1/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("healthz after the slow client: %d", resp.StatusCode)
+	}
+}

@@ -11,12 +11,13 @@ import (
 )
 
 // FuzzSchedEquivalence renders the same frame through the serial reference
-// engine and the parallel rasterization farm under fuzzed engine
-// configurations and scheduler choices, and requires the two runs to be
-// indistinguishable: identical scheduler decision logs (every NextTile grant
-// in call order), identical FrameOutput, identical per-tile statistics and
-// identical frame pixels. This is the determinism contract of Config.Workers
-// checked from arbitrary config bytes rather than the curated test matrix.
+// engine (zero render-ahead helpers) and through 1–4 helpers under fuzzed
+// engine configurations and scheduler choices, and requires the two runs to
+// be indistinguishable: identical scheduler decision logs (every NextTile
+// grant in call order), identical FrameOutput, identical per-tile statistics
+// and identical frame pixels. This is the determinism contract of
+// Config.Workers checked from arbitrary config bytes rather than the curated
+// test matrix.
 func FuzzSchedEquivalence(f *testing.F) {
 	f.Add(int64(1), uint8(1), uint8(3), uint8(3), uint8(15), uint8(2), uint8(0))
 	f.Add(int64(-7), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint8(1))
@@ -45,10 +46,9 @@ func FuzzSchedEquivalence(f *testing.F) {
 			}
 		}
 
-		run := func(w int) (FrameOutput, []sched.Decision, *stats.TileTable, uint64) {
-			c := cfg
-			c.Workers = w
-			eng := NewEngine(c, grid, testHier())
+		run := func(helpers int) (FrameOutput, []sched.Decision, *stats.TileTable, uint64) {
+			eng := NewEngine(cfg, grid, testHier())
+			eng.setRenderAhead(helpers, aheadWindow, (aheadWindow-1)*cfg.RasterUnits)
 			fb := raster.NewFrameBuffer(128, 64)
 			tt := stats.NewTileTable(grid.TilesX, grid.TilesY)
 			var log []sched.Decision
@@ -59,8 +59,8 @@ func FuzzSchedEquivalence(f *testing.F) {
 			return out, log, tt, fb.Hash()
 		}
 
-		serOut, serLog, serTT, serHash := run(1)
-		parOut, parLog, parTT, parHash := run(2 + int(workers%4))
+		serOut, serLog, serTT, serHash := run(0)
+		parOut, parLog, parTT, parHash := run(1 + int(workers%4))
 		if !reflect.DeepEqual(serLog, parLog) {
 			t.Fatalf("scheduler decision logs diverge: serial %d grants, parallel %d grants", len(serLog), len(parLog))
 		}

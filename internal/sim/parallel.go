@@ -1,6 +1,6 @@
-// Parallel intra-frame execution.
+// The barrier render farm of the parallel timing replay.
 //
-// The engine's frame time splits into two phases with very different
+// A frame's time splits into two phases with very different
 // parallelization properties:
 //
 //   - The *functional* phase rasterizes tiles: edge walking, attribute
@@ -8,24 +8,25 @@
 //     Its output, raster.TileWork, is a pure function of (Scene, Prims,
 //     Lists, tile id): the Renderer's on-chip Z/Color buffers are reset at
 //     every tile, Frame Buffer writes of distinct tiles touch disjoint
-//     pixels, and no other state is shared. It dominates frame wall-clock
-//     (~3/4 on the headline configuration).
+//     pixels, and no other state is shared.
 //   - The *timing* phase replays that work against the shared memory system
 //     (per-core L1s → shared L2 → timed DRAM) under the tile scheduler's
 //     decisions. Every quad batch mutates order-sensitive shared state, so
 //     this phase is the global-time synchronization domain: it runs on one
 //     goroutine, in the engine's reference event order, always.
 //
-// renderFarm shards the functional phase across Config.Workers goroutines:
-// workers pull tile indices from a shared atomic cursor (dynamic load
-// balance — hot tiles are an order of magnitude heavier than cold ones) and
-// write each result into its own tile-indexed slot. The farm's barrier
-// (WaitGroup rendezvous) is the single synchronization point between the
-// phases; the timing replay then consumes the pre-rendered work in exactly
-// the order the serial engine would have produced it inline. Determinism
-// therefore holds by construction, not by tuning: no timing-phase state is
-// ever touched concurrently, and the work slots are a deterministic merge
-// regardless of which worker rendered which tile.
+// The engine's live path overlaps the two tile by tile (ahead.go). The
+// parallel replay (Config.ReplayWorkers > 1, replay.go) instead needs every
+// tile's work before its classifiers start, so renderFarm renders the whole
+// frame first: workers pull tile indices from a shared atomic cursor
+// (dynamic load balance — hot tiles are an order of magnitude heavier than
+// cold ones) and write each result into its own tile-indexed slot. The
+// farm's barrier (WaitGroup rendezvous) is the single synchronization point
+// between the phases; the timing replay then consumes the pre-rendered work
+// in exactly the order the serial engine would have produced it inline.
+// Determinism therefore holds by construction, not by tuning: no
+// timing-phase state is ever touched concurrently, and the work slots are a
+// deterministic merge regardless of which worker rendered which tile.
 package sim
 
 import (

@@ -11,6 +11,7 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
 
 	"repro/internal/gpipe"
 	"repro/internal/mem"
@@ -44,13 +45,14 @@ type Config struct {
 	// accesses spatially coherent in its private L1.
 	QuadBlock int
 
-	// Workers selects the intra-frame execution mode. 0 or 1 is the serial
-	// reference engine. Greater values shard the functional rasterization of
-	// the frame's tiles across that many host worker goroutines, which
-	// rendezvous at a barrier before the cycle-accurate timing replay runs
-	// (see parallel.go). Every externally visible result — cycle counts,
-	// cache and DRAM statistics, telemetry, frame pixels — is byte-identical
-	// to the serial engine for any Workers value.
+	// Workers is the number of render-ahead helpers (ahead.go): goroutines
+	// that render the tiles the scheduler will dispatch next while the
+	// timing replay runs. 0 and 1 both mean one helper; the count is capped
+	// at GOMAXPROCS−1, so a single-CPU process runs the serial engine. With
+	// ReplayWorkers above 1 it instead sizes the barrier render farm
+	// (parallel.go). Every externally visible result — cycle counts, cache
+	// and DRAM statistics, telemetry, frame pixels — is byte-identical to
+	// the serial engine for any Workers value.
 	Workers int
 
 	// ReplayWorkers parallelizes the cycle-accurate timing replay itself
@@ -177,9 +179,21 @@ type Engine struct {
 	tileCache *cache.Cache
 	rus       []*rasterUnit
 
-	// farm, when non-nil, pre-renders tile work on a worker pool before the
-	// timing replay (Config.Workers > 1); nil selects the serial reference
-	// path in which each Raster Unit rasterizes its own tiles inline.
+	// renderer renders, on the replay goroutine, every dispatched tile no
+	// render-ahead helper has claimed.
+	renderer *raster.Renderer
+
+	// ahead acquires every live-rendered tile: helper goroutines render
+	// upcoming tiles while the replay runs, and the replay renders the rest
+	// (ahead.go). With zero helpers it is the serial engine.
+	ahead *renderAhead
+	// live reports that the frame in flight renders through ahead rather
+	// than replaying caller-supplied or farm-rendered work.
+	live bool
+
+	// farm, when non-nil, pre-renders every tile of the frame on a worker
+	// pool before the timing replay; only the parallel replay
+	// (Config.ReplayWorkers > 1) uses it.
 	farm *renderFarm
 
 	// rfarm, when non-nil, classifies texture-L1 streams concurrently with
@@ -234,9 +248,8 @@ func (r *warpRing) push(v int64) {
 }
 
 type rasterUnit struct {
-	id       int
-	renderer *raster.Renderer
-	texL1    []*cache.Cache
+	id    int
+	texL1 []*cache.Cache
 
 	now      int64
 	coreFree []int64
@@ -245,16 +258,14 @@ type rasterUnit struct {
 	feClock  float64 // rasterizer front-end availability (absolute cycles)
 	feStep   float64 // front-end occupancy per quad for the current tile
 
-	// work points at the tile currently being replayed: the RU's own
-	// scratch in the serial rendering path, or the caller's Works entry in
-	// replay modes. A pointer rather than a shallow struct copy, so the RU
-	// never holds a second alias of storage it does not own (retainlint's
+	// work points at the tile currently being replayed: a render-ahead pool
+	// slot when rendering live, or the caller's Works entry in replay modes.
+	// A pointer rather than a shallow struct copy, so the RU never holds a
+	// second alias of storage it does not own (retainlint's
 	// transient-ownership contract). Read-only during the replay.
 	work *raster.TileWork
-	// scratch is the RU-owned reusable TileWork the serial path renders
-	// into; its buffers are reset and refilled at every tile, so steady-state
-	// rendering stops allocating once they reach the hot-tile watermark.
-	scratch raster.TileWork
+	// slot is the render-ahead pool slot work points at, or -1.
+	slot int
 	// tileOut, in parallel-replay mode, is the current tile's classified
 	// L1 outcome record, acquired lazily at the first quad batch so the
 	// drain overlaps classification with tile setup and other RUs' work.
@@ -281,18 +292,19 @@ func NewEngine(cfg Config, grid tiling.Grid, hier *mem.Hierarchy) *Engine {
 		grid:      grid,
 		hier:      hier,
 		tileCache: cache.New(cfg.TileCache),
+		renderer:  raster.NewRenderer(grid),
 	}
+	e.renderer.SetFiltering(cfg.Filtering)
 	for i := 0; i < cfg.RasterUnits; i++ {
 		ru := &rasterUnit{
 			id:       i,
-			renderer: raster.NewRenderer(grid),
+			slot:     -1,
 			coreFree: make([]int64, cfg.CoresPerRU),
 			rings:    make([]warpRing, cfg.CoresPerRU),
 		}
 		for c := range ru.rings {
 			ru.rings[c].buf = make([]int64, cfg.WarpsPerCore)
 		}
-		ru.renderer.SetFiltering(cfg.Filtering)
 		for c := 0; c < cfg.CoresPerRU; c++ {
 			l1cfg := cfg.TexL1
 			l1cfg.Name = texCacheName(i, c)
@@ -300,22 +312,36 @@ func NewEngine(cfg Config, grid tiling.Grid, hier *mem.Hierarchy) *Engine {
 		}
 		e.rus = append(e.rus, ru)
 	}
-	if cfg.Workers > 1 || cfg.ReplayWorkers > 1 {
-		// The replay farm consumes pre-rendered tile work, so ReplayWorkers
-		// alone forces the render farm on, widened to the replay width.
+	if cfg.ReplayWorkers > 1 {
+		// The replay farm consumes pre-rendered tile work, so it renders the
+		// whole frame on the render farm first, at least as wide.
 		fcfg := cfg
 		if fcfg.Workers < cfg.ReplayWorkers {
 			fcfg.Workers = cfg.ReplayWorkers
 		}
 		e.farm = newRenderFarm(fcfg, grid)
-	}
-	if cfg.ReplayWorkers > 1 {
 		e.rfarm = newReplayFarm(cfg, hier, e.rus)
 		for _, ru := range e.rus {
 			ru.ocur = make([]int, cfg.CoresPerRU)
 		}
 	}
+	helpers := 0
+	if cfg.ReplayWorkers <= 1 {
+		helpers = min(max(cfg.Workers, 1), runtime.GOMAXPROCS(0)-1)
+	}
+	e.setRenderAhead(helpers, aheadWindow, (aheadWindow-1)*cfg.RasterUnits)
 	return e
+}
+
+// setRenderAhead gives the engine helpers render-ahead goroutines with a
+// lookahead of window tiles per RU, rendering into spare TileWork slots on
+// top of the one slot per RU the replay renders into; zero helpers selects
+// the serial engine, which needs no spare slots.
+func (e *Engine) setRenderAhead(helpers, window, spare int) {
+	if helpers == 0 {
+		spare = 0
+	}
+	e.ahead = newRenderAhead(helpers, window, len(e.rus)+spare, len(e.rus), e.grid, e.cfg.Filtering)
 }
 
 func texCacheName(ru, core int) string {
@@ -399,16 +425,23 @@ type FrameInput struct {
 //libra:hotpath
 //libra:transient
 func (e *Engine) RunRaster(in FrameInput) FrameOutput {
-	// Parallel intra-frame mode: rasterize every tile functionally on the
-	// render farm first (rendezvous barrier inside), then replay the frame
-	// through the unchanged serial timing loop below. TileWork is a pure
-	// function of (Scene, Prims, Lists, tile), so the replay consumes inputs
-	// identical to the serial path's inline rasterization and every counter
-	// stays byte-identical (see parallel.go).
-	if e.farm != nil && in.Works == nil && in.WorksByRU == nil {
+	// Live rendering. The parallel replay rasterizes every tile on the
+	// render farm first (rendezvous barrier inside); otherwise render-ahead
+	// helpers render upcoming tiles while the loop below replays. Either
+	// way TileWork is a pure function of (Scene, Prims, Lists, tile), so the
+	// replay consumes inputs identical to the serial engine's inline
+	// rendering and every counter stays byte-identical.
+	e.live = in.Works == nil && in.WorksByRU == nil
+	if e.live && e.farm != nil {
 		in.Works = e.farm.renderFrame(in)
+		e.live = false
+	}
+	if e.live {
+		defer e.ahead.end() // no helper outlives a panicking frame
+		e.ahead.begin(in)
 	}
 	for _, ru := range e.rus {
+		ru.slot = -1
 		ru.now = in.StartCycle
 		ru.done = false
 		ru.tileActive = false
@@ -435,6 +468,9 @@ func (e *Engine) RunRaster(in FrameInput) FrameOutput {
 			break
 		}
 		e.step(ru, in)
+	}
+	if e.live {
+		e.ahead.finish()
 	}
 
 	out := FrameOutput{RasterCycles: 0, PerRU: e.perRU[:0]}
@@ -485,6 +521,9 @@ func (e *Engine) step(ru *rasterUnit, in FrameInput) {
 		} else {
 			tile = in.Scheduler.NextTile(ru.id)
 		}
+		if e.live {
+			e.ahead.publish()
+		}
 		if tile < 0 {
 			ru.done = true
 			if ru.stats.FinishCycle < ru.now {
@@ -518,13 +557,18 @@ func (e *Engine) beginTile(ru *rasterUnit, in FrameInput, tile int) {
 		// just made, so the tile enters its classification stream only now.
 		e.rfarm.submit(ru.id, tile)
 	}
-	if in.WorksByRU != nil {
+	switch {
+	case in.WorksByRU != nil:
 		ru.work = &in.WorksByRU[ru.id][tile]
-	} else if in.Works != nil {
+	case in.Works != nil:
 		ru.work = &in.Works[tile]
-	} else {
-		ru.renderer.RenderTileInto(&ru.scratch, in.Scene, in.Prims, in.Lists.Lists[tile], tile, in.FB)
-		ru.work = &ru.scratch
+	default:
+		var rendered bool
+		ru.slot, rendered = e.ahead.take(tile)
+		ru.work = &e.ahead.pool[ru.slot]
+		if !rendered {
+			e.renderer.RenderTileInto(ru.work, in.Scene, in.Prims, in.Lists.Lists[tile], tile, in.FB)
+		}
 	}
 	if in.OnTileWork != nil {
 		in.OnTileWork(*ru.work)
@@ -694,4 +738,8 @@ func (e *Engine) finishTile(ru *rasterUnit, in FrameInput, dram int) {
 	}
 	ru.tileActive = false
 	ru.tileOut = nil
+	if ru.slot >= 0 {
+		e.ahead.release(ru.slot)
+		ru.slot = -1
+	}
 }

@@ -88,6 +88,12 @@ type SupertileGrid struct {
 	Grid
 	K                int // supertile edge in tiles (2, 4, 8 or 16)
 	SupersX, SupersY int
+
+	// tiles lists every supertile's tile ids back to back, each run in
+	// Z-order; supertile s owns tiles[start[s]:start[s+1]]. Built once by
+	// NewSupertileGrid, so TilesOf is a read-only slice expression.
+	tiles []int
+	start []int
 }
 
 // ValidSupertileSizes are the sizes LIBRA considers (§III-C).
@@ -104,12 +110,38 @@ func NewSupertileGrid(g Grid, k int) SupertileGrid {
 	if !ok {
 		panic(fmt.Sprintf("tiling: invalid supertile size %d", k))
 	}
-	return SupertileGrid{
+	s := SupertileGrid{
 		Grid:    g,
 		K:       k,
 		SupersX: (g.TilesX + k - 1) / k,
 		SupersY: (g.TilesY + k - 1) / k,
 	}
+	// The Z-order of the k×k local positions, shared by every supertile:
+	// an edge supertile keeps the in-grid subsequence of it.
+	local := make([][2]int, 0, k*k)
+	for dy := 0; dy < k; dy++ {
+		for dx := 0; dx < k; dx++ {
+			local = append(local, [2]int{dx, dy})
+		}
+	}
+	sort.Slice(local, func(a, b int) bool {
+		return MortonEncode(uint32(local[a][0]), uint32(local[a][1])) <
+			MortonEncode(uint32(local[b][0]), uint32(local[b][1]))
+	})
+	s.tiles = make([]int, 0, g.NumTiles())
+	s.start = make([]int, 0, s.NumSupertiles()+1)
+	for sid := 0; sid < s.NumSupertiles(); sid++ {
+		s.start = append(s.start, len(s.tiles))
+		sx, sy := sid%s.SupersX, sid/s.SupersX
+		for _, d := range local {
+			tx, ty := sx*k+d[0], sy*k+d[1]
+			if tx < g.TilesX && ty < g.TilesY {
+				s.tiles = append(s.tiles, g.TileID(tx, ty))
+			}
+		}
+	}
+	s.start = append(s.start, len(s.tiles))
+	return s
 }
 
 // NumSupertiles returns the supertile count.
@@ -123,26 +155,11 @@ func (s SupertileGrid) SupertileOf(tileID int) int {
 
 // TilesOf returns the tile ids of a supertile, traversed in Z-order within
 // the supertile (§III-D: "tiles within a supertile are always traversed in
-// Z-order"). Edge supertiles may hold fewer than K×K tiles.
+// Z-order"). Edge supertiles may hold fewer than K×K tiles. The slice is
+// shared, precomputed storage: callers may reslice it but must not modify
+// its elements. It allocates nothing.
 func (s SupertileGrid) TilesOf(superID int) []int {
-	sx := superID % s.SupersX
-	sy := superID / s.SupersX
-	var tiles []int
-	for dy := 0; dy < s.K; dy++ {
-		for dx := 0; dx < s.K; dx++ {
-			tx := sx*s.K + dx
-			ty := sy*s.K + dy
-			if tx < s.TilesX && ty < s.TilesY {
-				tiles = append(tiles, s.TileID(tx, ty))
-			}
-		}
-	}
-	sort.Slice(tiles, func(a, b int) bool {
-		ax, ay := s.TileCoord(tiles[a])
-		bx, by := s.TileCoord(tiles[b])
-		return MortonEncode(uint32(ax%s.K), uint32(ay%s.K)) < MortonEncode(uint32(bx%s.K), uint32(by%s.K))
-	})
-	return tiles
+	return s.tiles[s.start[superID]:s.start[superID+1]:s.start[superID+1]]
 }
 
 // SupertileTraversal returns supertile ids in Z-order over the supertile

@@ -1,6 +1,8 @@
 package tiling
 
 import (
+	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -258,5 +260,44 @@ func TestBinOffscreenPrimitiveIgnored(t *testing.T) {
 	tl := Bin(g, []gpipe.Primitive{p})
 	if tl.Binned != 0 {
 		t.Errorf("offscreen primitive binned %d times", tl.Binned)
+	}
+}
+
+// TestTilesOfMatchesSortedEnumeration pins the precomputed TilesOf to its
+// definition — the in-grid tiles of the supertile, sorted by the Morton
+// code of their position inside it — on grids with partial edge
+// supertiles, and requires it to allocate nothing.
+func TestTilesOfMatchesSortedEnumeration(t *testing.T) {
+	for _, g := range []Grid{NewGrid(960, 544), NewGrid(640, 384), NewGrid(100, 37)} {
+		for _, k := range ValidSupertileSizes {
+			s := NewSupertileGrid(g, k)
+			for sid := 0; sid < s.NumSupertiles(); sid++ {
+				var want []int
+				sx, sy := sid%s.SupersX, sid/s.SupersX
+				for ty := sy * k; ty < min((sy+1)*k, g.TilesY); ty++ {
+					for tx := sx * k; tx < min((sx+1)*k, g.TilesX); tx++ {
+						want = append(want, g.TileID(tx, ty))
+					}
+				}
+				sort.Slice(want, func(a, b int) bool {
+					ax, ay := g.TileCoord(want[a])
+					bx, by := g.TileCoord(want[b])
+					return MortonEncode(uint32(ax%k), uint32(ay%k)) < MortonEncode(uint32(bx%k), uint32(by%k))
+				})
+				if got := s.TilesOf(sid); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%dx%d k=%d supertile %d: TilesOf = %v, want %v", g.TilesX, g.TilesY, k, sid, got, want)
+				}
+			}
+			if allocs := testing.AllocsPerRun(10, func() { s.TilesOf(s.NumSupertiles() - 1) }); allocs != 0 {
+				t.Errorf("k=%d: TilesOf allocated %.1f times", k, allocs)
+			}
+			// Appending to a returned slice must not clobber the next
+			// supertile's tiles.
+			first := s.TilesOf(0)
+			_ = append(first, -1)
+			if s.NumSupertiles() > 1 && s.TilesOf(1)[0] == -1 {
+				t.Fatalf("k=%d: append to TilesOf(0) overwrote TilesOf(1)", k)
+			}
+		}
 	}
 }

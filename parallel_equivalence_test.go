@@ -3,6 +3,7 @@ package libra_test
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 
 	libra "repro"
@@ -29,6 +30,21 @@ func renderMatrixFrames(t *testing.T, game string, workers, frames int) ([]libra
 	return r.RenderFrames(frames), r.FramePixels()
 }
 
+// newSerialRun builds a run on the serial engine: an engine gets
+// min(max(SimWorkers, 1), GOMAXPROCS−1) render-ahead helpers when it is
+// built, so building it under GOMAXPROCS 1 gives it none, while it still
+// renders under the test's own GOMAXPROCS. Call it only from a test's
+// sequential part — no other test runs then — never after t.Parallel.
+func newSerialRun(t *testing.T, cfg libra.Config, game string) *libra.Run {
+	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	r, err := libra.NewRun(cfg, game)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
 // frameLine formats a frame result the way cmd/librasim prints it, so the
 // comparison below covers the user-visible stdout byte for byte, not just the
 // struct fields.
@@ -38,8 +54,9 @@ func frameLine(f libra.FrameResult) string {
 }
 
 // TestSerialParallelEquivalenceMatrix renders every registered benchmark
-// under the serial reference engine and under 2- and 4-worker parallel
-// rasterization, and requires every externally visible result — each frame's
+// under the serial reference engine (no render-ahead helpers) and with
+// SimWorkers 2 and 4 (as many helpers as the host's GOMAXPROCS allows), and
+// requires every externally visible result — each frame's
 // full FrameResult (cycles, hashes, cache and DRAM statistics, per-RU load,
 // per-tile heatmaps), the formatted stdout lines, the run summary and the
 // final frame pixels — to be identical. This is the contract stated on
@@ -52,9 +69,10 @@ func TestSerialParallelEquivalenceMatrix(t *testing.T) {
 	const frames = 3
 	for _, b := range libra.Benchmarks() {
 		b := b
+		serial := newSerialRun(t, equivalenceConfig(0), b.Abbrev)
 		t.Run(b.Abbrev, func(t *testing.T) {
 			t.Parallel()
-			ref, refPix := renderMatrixFrames(t, b.Abbrev, 0, frames)
+			ref, refPix := serial.RenderFrames(frames), serial.FramePixels()
 			refSum := libra.Summarize(ref, 1).String()
 			for _, workers := range []int{2, 4} {
 				got, gotPix := renderMatrixFrames(t, b.Abbrev, workers, frames)
@@ -89,7 +107,7 @@ func renderMatrixFramesRE(t *testing.T, game string, workers, frames int, re boo
 }
 
 // TestRenderElimEquivalenceMatrix extends the 32-profile matrix with the
-// Rendering Elimination axis: {RE off, RE on} × {serial, 4 workers}. Within
+// Rendering Elimination axis: {RE off, RE on} × {serial engine, 4 workers}. Within
 // each RE setting the serial and parallel cells must be fully DeepEqual
 // (frames, summaries, pixels) — SimWorkers stays unobservable with skips in
 // play. Across the RE axis, rendered output must be identical on every
@@ -104,10 +122,14 @@ func TestRenderElimEquivalenceMatrix(t *testing.T) {
 	const frames = 3
 	for _, b := range libra.Benchmarks() {
 		b := b
+		cfgOn := equivalenceConfig(0)
+		cfgOn.RenderElim = true
+		serialOff := newSerialRun(t, equivalenceConfig(0), b.Abbrev)
+		serialOn := newSerialRun(t, cfgOn, b.Abbrev)
 		t.Run(b.Abbrev, func(t *testing.T) {
 			t.Parallel()
-			off, offPix := renderMatrixFramesRE(t, b.Abbrev, 0, frames, false)
-			on, onPix := renderMatrixFramesRE(t, b.Abbrev, 0, frames, true)
+			off, offPix := serialOff.RenderFrames(frames), serialOff.FramePixels()
+			on, onPix := serialOn.RenderFrames(frames), serialOn.FramePixels()
 
 			// Serial vs 4 workers, inside each RE setting.
 			for _, cell := range []struct {
