@@ -24,7 +24,7 @@ COVERAGE_MIN ?= 73.5
 # engine's render-ahead helpers and replay classifier farm. -short trims the
 # render-ahead equivalence matrices to their most concurrent corner.
 STRESS_PKGS := ./internal/serve ./internal/experiments ./internal/resultstore ./internal/sim
-STRESS_RUN := '^(TestAdmission|TestConcurrentRunWithCancellation|TestShutdown|TestRunBackpressure429|TestRequestTimeout504|TestSlowHeadersDisconnected|TestSingleflight|TestFollower|TestCancelledLeader|TestCancelledRun|TestCancelAborts|TestPool|TestStoreSharedKeyOneSimulation|TestLockMutualExclusion|TestStaleLockTakeover|TestPutOverwriteIsAtomic|TestRenderAhead|TestReplayParallelMatchesSerial|TestReplayClassifierPanicPropagates)'
+STRESS_RUN := '^(TestAdmission|TestConcurrentRunWithCancellation|TestShutdown|TestRunBackpressure429|TestRequestTimeout504|TestSlowHeadersDisconnected|TestSlowBodyCutOff|TestRunOutlivesReadTimeout|TestSingleflight|TestFollower|TestCancelledLeader|TestCancelledRun|TestCancelAborts|TestPool|TestStoreSharedKeyOneSimulation|TestLockMutualExclusion|TestStaleLockTakeover|TestPutOverwriteIsAtomic|TestRenderAhead|TestReplayParallelMatchesSerial|TestReplayClassifierPanicPropagates)'
 
 # The timed benchmarks BENCH_ci.json records and gates: the end-to-end frame
 # rows of the root package and the raster layer's row beneath them, each at
@@ -116,17 +116,20 @@ cover:
 # experiment pool (-jobs), the intra-frame render-ahead helpers
 # (-sim-workers) and the epoch-parallel timing replay (-replay-workers),
 # composed: the fully parallel run must reproduce the fully serial one.
+# GOMAXPROCS=4 gives the parallel runs their render-ahead helper on any host
+# (the engine caps helpers at GOMAXPROCS−1); -sim-workers 1 is the serial
+# engine.
 determinism:
 	$(GO) build -o /tmp/libra-suite ./cmd/suite
 	/tmp/libra-suite -suite mem -frames 4 -warmup 1 -jobs 1 -sim-workers 1 -quiet > /tmp/libra-suite-serial.txt
 	/tmp/libra-suite -suite mem -frames 4 -warmup 1 -jobs 4 -sim-workers 1 -quiet > /tmp/libra-suite-jobs4.txt
-	/tmp/libra-suite -suite mem -frames 4 -warmup 1 -jobs 4 -sim-workers 4 -quiet > /tmp/libra-suite-par4x4.txt
-	/tmp/libra-suite -suite mem -frames 4 -warmup 1 -jobs 4 -sim-workers 4 -replay-workers 4 -quiet > /tmp/libra-suite-par4x4x4.txt
+	GOMAXPROCS=4 /tmp/libra-suite -suite mem -frames 4 -warmup 1 -jobs 4 -sim-workers 4 -quiet > /tmp/libra-suite-par4x4.txt
+	GOMAXPROCS=4 /tmp/libra-suite -suite mem -frames 4 -warmup 1 -jobs 4 -sim-workers 4 -replay-workers 4 -quiet > /tmp/libra-suite-par4x4x4.txt
 	diff -u /tmp/libra-suite-serial.txt /tmp/libra-suite-jobs4.txt
 	diff -u /tmp/libra-suite-serial.txt /tmp/libra-suite-par4x4.txt
 	diff -u /tmp/libra-suite-serial.txt /tmp/libra-suite-par4x4x4.txt
 	/tmp/libra-suite -suite mem -frames 4 -warmup 1 -jobs 1 -sim-workers 1 -render-elim -quiet > /tmp/libra-suite-re-serial.txt
-	/tmp/libra-suite -suite mem -frames 4 -warmup 1 -jobs 4 -sim-workers 4 -replay-workers 4 -render-elim -quiet > /tmp/libra-suite-re-par4x4.txt
+	GOMAXPROCS=4 /tmp/libra-suite -suite mem -frames 4 -warmup 1 -jobs 4 -sim-workers 4 -replay-workers 4 -render-elim -quiet > /tmp/libra-suite-re-par4x4.txt
 	diff -u /tmp/libra-suite-re-serial.txt /tmp/libra-suite-re-par4x4.txt
 	$(GO) build -o /tmp/librasim ./cmd/librasim
 	/tmp/librasim -game AnB -rus 2 -frames 4 -sim-workers 4 -json | grep -o '"FrameHash":[0-9]*' > /tmp/libra-hash-off.txt

@@ -53,16 +53,13 @@ func TestSteadyStateFrameAllocsRenderElim(t *testing.T) {
 	}
 }
 
-// TestSteadyStateFrameAllocsParallel is the same bound under the parallel
-// rasterization farm, whose per-worker renderers and persistent TileWork
-// slots must not reintroduce per-frame garbage.
+// TestSteadyStateFrameAllocsParallel is the same bound with the render-ahead
+// helper, whose renderer and pooled TileWork slots must not reintroduce
+// per-frame garbage.
 func TestSteadyStateFrameAllocsParallel(t *testing.T) {
 	cfg := libra.LIBRA(640, 384, 2)
 	cfg.SimWorkers = 2
-	run, err := libra.NewRun(cfg, "SuS")
-	if err != nil {
-		t.Fatal(err)
-	}
+	run := newHelperRun(t, cfg, "SuS")
 	run.RenderFrames(4)
 	allocs := testing.AllocsPerRun(5, func() {
 		run.RenderFrame()

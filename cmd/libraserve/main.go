@@ -39,7 +39,7 @@ func main() {
 		addr        = flag.String("addr", "127.0.0.1:8080", "listen address (port 0 picks a free port)")
 		addrFile    = flag.String("addr-file", "", "write the resolved listen address to this file (for scripts binding port 0)")
 		resultDir   = flag.String("result-dir", experiments.DefaultResultDir(), "persistent result store directory (or $LIBRA_RESULT_DIR; empty = store disabled)")
-		simWorkers  = flag.Int("sim-workers", experiments.DefaultSimWorkers(), "render-ahead helpers per simulation, capped at GOMAXPROCS-1, forced onto every request (results are byte-identical for any value)")
+		simWorkers  = flag.Int("sim-workers", experiments.DefaultSimWorkers(), "goroutines rendering each simulation, forced onto every request: 1 runs the serial engine, leaving the other CPUs to request handling; 0 or above 1 adds one render-ahead helper where GOMAXPROCS allows (results are byte-identical for any value)")
 		repWorkers  = flag.Int("replay-workers", experiments.DefaultReplayWorkers(), "timing-replay classifier workers forced onto every request (results are byte-identical for any value)")
 		maxInFlight = flag.Int("max-inflight", experiments.DefaultJobs(), "concurrent simulations before requests queue")
 		maxQueue    = flag.Int("max-queue", 64, "queued requests before /v1/run answers 429")

@@ -44,7 +44,7 @@ func main() {
 		paper      = flag.Bool("paper", false, "run experiments at the paper's full FHD scale (slow)")
 		format     = flag.String("format", "table", "experiment output format: table | markdown | json")
 		jobs       = flag.Int("jobs", experiments.DefaultJobs(), "concurrent simulations for experiments (<=0 = NumCPU, or $LIBRA_JOBS)")
-		simWorkers = flag.Int("sim-workers", experiments.DefaultSimWorkers(), "render-ahead helpers per simulation, capped at GOMAXPROCS-1 (or $LIBRA_SIM_WORKERS); results are byte-identical for any value")
+		simWorkers = flag.Int("sim-workers", experiments.DefaultSimWorkers(), "goroutines rendering each simulation (or $LIBRA_SIM_WORKERS): 1 runs the serial engine, 0 or above 1 adds one render-ahead helper where GOMAXPROCS allows; results are byte-identical for any value")
 		repWorkers = flag.Int("replay-workers", experiments.DefaultReplayWorkers(), "timing-replay classifier workers per simulation (1 = serial replay, or $LIBRA_REPLAY_WORKERS); results are byte-identical for any value")
 		renderElim = flag.Bool("render-elim", experiments.DefaultRenderElim(), "enable Rendering Elimination: skip tiles whose input signature matches the previous frame (or $LIBRA_RENDER_ELIM); pixels are unchanged, coherent frames get faster")
 		resultDir  = flag.String("result-dir", experiments.DefaultResultDir(), "persistent result store directory for -experiment runs (or $LIBRA_RESULT_DIR; empty = store disabled)")

@@ -43,7 +43,7 @@ func main() {
 		screenH = flag.Int("h", 384, "screen height")
 		l2kb    = flag.Int("l2kb", 1024, "shared L2 KiB (0 = Table I 2MB)")
 		jobs    = flag.Int("jobs", experiments.DefaultJobs(), "concurrent simulations (<=0 = NumCPU, or $LIBRA_JOBS)")
-		simWork = flag.Int("sim-workers", experiments.DefaultSimWorkers(), "render-ahead helpers per simulation, capped at GOMAXPROCS-1 (or $LIBRA_SIM_WORKERS); stdout is byte-identical for any value")
+		simWork = flag.Int("sim-workers", experiments.DefaultSimWorkers(), "goroutines rendering each simulation (or $LIBRA_SIM_WORKERS): 1 runs the serial engine, 0 or above 1 adds one render-ahead helper where GOMAXPROCS allows; stdout is byte-identical for any value")
 		repWork = flag.Int("replay-workers", experiments.DefaultReplayWorkers(), "timing-replay classifier workers per simulation (1 = serial replay, or $LIBRA_REPLAY_WORKERS); stdout is byte-identical for any value")
 		relim   = flag.Bool("render-elim", experiments.DefaultRenderElim(), "enable Rendering Elimination on every configuration (or $LIBRA_RENDER_ELIM); pixels unchanged, coherent frames skip tiles")
 		quiet   = flag.Bool("quiet", false, "suppress the stderr progress/ETA line")

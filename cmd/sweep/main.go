@@ -40,7 +40,7 @@ func main() {
 		screenW = flag.Int("w", 640, "screen width")
 		screenH = flag.Int("h", 384, "screen height")
 		jobs    = flag.Int("jobs", experiments.DefaultJobs(), "concurrent simulations (<=0 = NumCPU, or $LIBRA_JOBS)")
-		simWork = flag.Int("sim-workers", experiments.DefaultSimWorkers(), "render-ahead helpers per simulation, capped at GOMAXPROCS-1 (or $LIBRA_SIM_WORKERS); stdout is byte-identical for any value")
+		simWork = flag.Int("sim-workers", experiments.DefaultSimWorkers(), "goroutines rendering each simulation (or $LIBRA_SIM_WORKERS): 1 runs the serial engine, 0 or above 1 adds one render-ahead helper where GOMAXPROCS allows; stdout is byte-identical for any value")
 		repWork = flag.Int("replay-workers", experiments.DefaultReplayWorkers(), "timing-replay classifier workers per simulation (1 = serial replay, or $LIBRA_REPLAY_WORKERS); stdout is byte-identical for any value")
 		relim   = flag.Bool("render-elim", experiments.DefaultRenderElim(), "enable Rendering Elimination at every sweep point (or $LIBRA_RENDER_ELIM)")
 		quiet   = flag.Bool("quiet", false, "suppress the stderr progress/ETA line")

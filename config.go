@@ -65,15 +65,18 @@ type Config struct {
 	RasterUnits int
 	CoresPerRU  int
 
-	// SimWorkers is the number of render-ahead helpers of one simulation
-	// (intra-frame parallelism, DESIGN §9): goroutines that render the
-	// tiles the scheduler dispatches next while the timing replay runs. 0
-	// and 1 both mean one helper; the engine caps the count at
-	// GOMAXPROCS−1, so a single-CPU process runs the serial engine. Results
-	// are byte-identical for any value: cycle counts, statistics, telemetry
-	// and frame hashes do not change. Compose with the experiment drivers'
-	// -jobs fan-out: -jobs spreads *across* simulations, SimWorkers speeds
-	// up each *single* simulation.
+	// SimWorkers is the number of goroutines rendering one simulation's
+	// tiles, its timing replay included (intra-frame parallelism, DESIGN §9):
+	// 1 is the serial engine, where the replay renders every tile itself;
+	// 0 (the default) or any larger value adds one render-ahead helper that
+	// renders the tiles the scheduler dispatches next while the replay runs.
+	// More than one helper has not been measured to help, so larger values
+	// buy nothing more. The engine caps helpers at GOMAXPROCS−1, so a
+	// single-CPU process always runs the serial engine. Results are
+	// byte-identical for any value: cycle counts, statistics, telemetry and
+	// frame hashes do not change. Compose with the experiment drivers' -jobs
+	// fan-out: -jobs spreads *across* simulations, SimWorkers speeds up each
+	// *single* simulation.
 	SimWorkers int
 
 	// ReplayWorkers parallelizes the cycle-accurate timing replay of each

@@ -29,10 +29,10 @@ type Params struct {
 	// L2KB scales the shared L2 with the screen so the cache-to-working-set
 	// ratio of the FHD evaluation is preserved (0 = Table I's 2 MB).
 	L2KB int
-	// SimWorkers is each simulation's render-ahead helper count
-	// (libra.Config.SimWorkers); 0 and 1 both mean one helper, capped at
-	// GOMAXPROCS−1. All results — and hence every figure and table — are
-	// byte-identical for any value.
+	// SimWorkers is each simulation's intra-frame worker count
+	// (libra.Config.SimWorkers): 1 is the serial engine; 0 or a larger value
+	// adds a render-ahead helper where GOMAXPROCS allows. All results — and hence
+	// every figure and table — are byte-identical for any value.
 	SimWorkers int
 	// ReplayWorkers parallelizes each simulation's cycle-accurate timing
 	// replay across that many classifier goroutines

@@ -22,13 +22,13 @@ func DefaultJobs() int {
 
 // DefaultSimWorkers returns the intra-frame worker count used when no
 // explicit -sim-workers value is given: the LIBRA_SIM_WORKERS environment
-// variable when it holds a positive integer, otherwise 1 — one render-ahead
-// helper per simulation (none on a single-CPU host, where the engine caps
-// helpers at GOMAXPROCS−1). Unlike DefaultJobs this does not default to
-// NumCPU: the experiment drivers already saturate the host across
-// simulations, and helpers multiply with -jobs. One helper does not slow a
-// saturated fan-out: it renders work the simulation would otherwise render
-// itself, so it adds goroutines, not CPU time.
+// variable when it holds a positive integer, otherwise 1, the serial
+// engine. The drivers' -jobs fan-out already saturates the host across
+// simulations, and there a render-ahead helper per simulation costs time
+// rather than saving it: `suite -suite mem -jobs 2` on two CPUs ran a
+// median 5% slower with one, slower in 4 of 5 alternating pairs. A single
+// simulation on an otherwise idle host is where a helper pays
+// (-sim-workers 2).
 func DefaultSimWorkers() int {
 	if s := os.Getenv("LIBRA_SIM_WORKERS"); s != "" {
 		if n, err := strconv.Atoi(s); err == nil && n > 0 {

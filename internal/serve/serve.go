@@ -63,8 +63,11 @@ type Config struct {
 // Connection timeouts of the HTTP server. A /v1/run request is a few hundred
 // bytes, so honest clients finish headers and body in milliseconds; the
 // bounds only cut off clients that hold a connection open without sending
-// (slowloris) or idle between requests. None bounds a handler's simulation
-// time — that is RequestTimeout's job.
+// (slowloris) or idle between requests. None bounds the handler: once a
+// request's body has been read to its end, net/http clears the connection's
+// read deadline before it watches the connection for the client going away,
+// so the admission wait and the simulation are bounded by RequestTimeout
+// alone (TestRunOutlivesReadTimeout).
 const (
 	readHeaderTimeout = 10 * time.Second  // request line and headers
 	readTimeout       = 30 * time.Second  // the whole request, body included

@@ -474,22 +474,9 @@ func TestSlowHeadersDisconnected(t *testing.T) {
 			readHeaderTimeout, readTimeout, idleTimeout)
 	}
 	s.httpSrv.ReadHeaderTimeout = 50 * time.Millisecond
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	served := make(chan error, 1)
-	go func() { served <- s.Serve(ln) }()
-	defer func() {
-		if err := s.Shutdown(context.Background()); err != nil {
-			t.Error(err)
-		}
-		if err := <-served; err != nil {
-			t.Error(err)
-		}
-	}()
+	addr := serveTCP(t, s)
 
-	conn, err := net.Dial("tcp", ln.Addr().String())
+	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -509,12 +496,103 @@ func TestSlowHeadersDisconnected(t *testing.T) {
 		}
 	}
 
-	resp, err := http.Get("http://" + ln.Addr().String() + "/v1/healthz")
+	resp, err := http.Get("http://" + addr + "/v1/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("healthz after the slow client: %d", resp.StatusCode)
+	}
+}
+
+// serveTCP serves s on a loopback port through its own http.Server, so the
+// connection timeouts apply (httptest.NewServer would bring its own), and
+// shuts it down when the test ends. It returns the address.
+func serveTCP(t *testing.T, s *Server) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- s.Serve(ln) }()
+	t.Cleanup(func() {
+		if err := s.Shutdown(context.Background()); err != nil {
+			t.Error(err)
+		}
+		if err := <-served; err != nil {
+			t.Error(err)
+		}
+	})
+	return ln.Addr().String()
+}
+
+// TestSlowBodyCutOff: a client that sends its headers but never the body
+// they announce gets an error answer once the read timeout (shortened here)
+// expires, and the connection closes.
+func TestSlowBodyCutOff(t *testing.T) {
+	s, err := NewServer(context.Background(), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.httpSrv.ReadTimeout = 50 * time.Millisecond
+	addr := serveTCP(t, s)
+
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "POST /v1/run HTTP/1.1\r\nHost: libra\r\nContent-Length: 64\r\n\r\n{"); err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.SetReadDeadline(time.Now().Add(10 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := io.ReadAll(conn)
+	if ne, ok := err.(net.Error); ok && ne.Timeout() {
+		t.Fatalf("connection still open after the read timeout; got %q", raw)
+	}
+	if !bytes.HasPrefix(raw, []byte("HTTP/1.1 400")) {
+		t.Fatalf("slow body answered %q, want a 400", raw)
+	}
+}
+
+// TestRunOutlivesReadTimeout: the read timeout bounds reading a request, not
+// answering it. A simulation that runs, and a request queued behind it that
+// waits, for several read timeouts (shortened here) both still answer 200.
+func TestRunOutlivesReadTimeout(t *testing.T) {
+	s, err := NewServer(context.Background(), Config{MaxInFlight: 1, MaxQueue: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const timeout = 100 * time.Millisecond
+	s.httpSrv.ReadTimeout = timeout
+	url := "http://" + serveTCP(t, s)
+	started, releaseAll := blockingStub(s, 4)
+	defer releaseAll()
+
+	statuses := make(chan string, 2)
+	do := func(game string) {
+		resp, err := http.Post(url+"/v1/run", "application/json", strings.NewReader(tinyBody(game, 4)))
+		if err != nil {
+			statuses <- fmt.Sprintf("%s: %v", game, err)
+			return
+		}
+		raw, _ := io.ReadAll(resp.Body) // a short read shows in the status line
+		resp.Body.Close()
+		statuses <- fmt.Sprintf("%s: %d %s", game, resp.StatusCode, bytes.TrimSpace(raw))
+	}
+	go do("Jet")
+	<-started // admitted and simulating
+	go do("SuS")
+	waitFor(t, func() bool { return s.Admission().Waiting() == 1 })
+	time.Sleep(4 * timeout)
+	releaseAll()
+	for i := 0; i < 2; i++ {
+		if st := <-statuses; !strings.Contains(st, ": 200 ") {
+			t.Errorf("request outliving the read timeout: %s, want 200", st)
+		}
 	}
 }

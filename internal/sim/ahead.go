@@ -59,6 +59,11 @@ import (
 // nearer ones go unclaimed.
 const aheadWindow = 4
 
+// maxHelpers is the render-ahead helper count of an engine that has them.
+// One helper was measured to pay on two CPUs; whether more help where more
+// CPUs exist has not been measured, so Config.Workers does not buy more.
+const maxHelpers = 1
+
 // Tile claim states in renderAhead.state; a value s+1 > 0 means a helper
 // claimed the tile into pool slot s.
 const (

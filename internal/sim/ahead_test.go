@@ -397,9 +397,10 @@ func (c *countHelped) Peek(ru int, dst []int) []int {
 }
 
 // TestNewEngineRenderAheadShape pins how NewEngine sizes render-ahead:
-// max(Workers, 1) helpers capped at GOMAXPROCS−1, none when the parallel
-// replay's render farm renders instead, and aheadWindow pool slots per RU
-// with helpers (one without).
+// Workers 1 is the serial engine, any other value gets maxHelpers helpers
+// capped at GOMAXPROCS−1, none when the parallel replay's render farm
+// renders instead, and aheadWindow pool slots per RU with helpers (one
+// without).
 func TestNewEngineRenderAheadShape(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, procs := range []int{1, 2, 4} {
@@ -409,8 +410,8 @@ func TestNewEngineRenderAheadShape(t *testing.T) {
 				cfg := smallCfg(2)
 				cfg.Workers, cfg.ReplayWorkers = workers, rw
 				eng := NewEngine(cfg, aheadGrid, testHier())
-				helpers := min(max(workers, 1), procs-1)
-				if rw > 1 {
+				helpers := min(maxHelpers, procs-1)
+				if workers == 1 || rw > 1 {
 					helpers = 0
 				}
 				pool := 2

@@ -45,14 +45,15 @@ type Config struct {
 	// accesses spatially coherent in its private L1.
 	QuadBlock int
 
-	// Workers is the number of render-ahead helpers (ahead.go): goroutines
-	// that render the tiles the scheduler will dispatch next while the
-	// timing replay runs. 0 and 1 both mean one helper; the count is capped
-	// at GOMAXPROCS−1, so a single-CPU process runs the serial engine. With
-	// ReplayWorkers above 1 it instead sizes the barrier render farm
-	// (parallel.go). Every externally visible result — cycle counts, cache
-	// and DRAM statistics, telemetry, frame pixels — is byte-identical to
-	// the serial engine for any Workers value.
+	// Workers is the number of goroutines rendering a frame's tiles, the
+	// timing replay's own included (ahead.go): 1 is the serial engine, where
+	// the replay renders every tile itself, and 0 or any larger value adds
+	// maxHelpers render-ahead helpers, capped at GOMAXPROCS−1, so a
+	// single-CPU process always runs the serial engine. With ReplayWorkers
+	// above 1 it instead sizes the barrier render farm (parallel.go). Every
+	// externally visible result — cycle counts, cache and DRAM statistics,
+	// telemetry, frame pixels — is byte-identical to the serial engine for
+	// any Workers value.
 	Workers int
 
 	// ReplayWorkers parallelizes the cycle-accurate timing replay itself
@@ -326,8 +327,8 @@ func NewEngine(cfg Config, grid tiling.Grid, hier *mem.Hierarchy) *Engine {
 		}
 	}
 	helpers := 0
-	if cfg.ReplayWorkers <= 1 {
-		helpers = min(max(cfg.Workers, 1), runtime.GOMAXPROCS(0)-1)
+	if cfg.ReplayWorkers <= 1 && cfg.Workers != 1 {
+		helpers = min(maxHelpers, runtime.GOMAXPROCS(0)-1)
 	}
 	e.setRenderAhead(helpers, aheadWindow, (aheadWindow-1)*cfg.RasterUnits)
 	return e

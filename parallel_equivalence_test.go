@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"sync"
 	"testing"
 
 	libra "repro"
@@ -23,21 +24,24 @@ func equivalenceConfig(workers int) libra.Config {
 // the per-frame results plus the last frame's pixels.
 func renderMatrixFrames(t *testing.T, game string, workers, frames int) ([]libra.FrameResult, []uint32) {
 	t.Helper()
-	r, err := libra.NewRun(equivalenceConfig(workers), game)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := newHelperRun(t, equivalenceConfig(workers), game)
 	return r.RenderFrames(frames), r.FramePixels()
 }
 
-// newSerialRun builds a run on the serial engine: an engine gets
-// min(max(SimWorkers, 1), GOMAXPROCS−1) render-ahead helpers when it is
-// built, so building it under GOMAXPROCS 1 gives it none, while it still
-// renders under the test's own GOMAXPROCS. Call it only from a test's
-// sequential part — no other test runs then — never after t.Parallel.
-func newSerialRun(t *testing.T, cfg libra.Config, game string) *libra.Run {
+// helperProcs serializes newHelperRun's GOMAXPROCS raises, so parallel
+// subtests never restore each other's setting mid-build.
+var helperProcs sync.Mutex
+
+// newHelperRun builds a run that gets its render-ahead helper on any host
+// unless cfg asks for the serial engine (SimWorkers 1): an engine sizes its
+// helpers from GOMAXPROCS when it is built, so the run is built under at
+// least two, then renders under the test's own GOMAXPROCS. Without this a
+// single-CPU host would compare the serial engine with itself.
+func newHelperRun(t *testing.T, cfg libra.Config, game string) *libra.Run {
 	t.Helper()
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	helperProcs.Lock()
+	defer helperProcs.Unlock()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
 	r, err := libra.NewRun(cfg, game)
 	if err != nil {
 		t.Fatal(err)
@@ -54,9 +58,9 @@ func frameLine(f libra.FrameResult) string {
 }
 
 // TestSerialParallelEquivalenceMatrix renders every registered benchmark
-// under the serial reference engine (no render-ahead helpers) and with
-// SimWorkers 2 and 4 (as many helpers as the host's GOMAXPROCS allows), and
-// requires every externally visible result — each frame's
+// under the serial reference engine (SimWorkers 1: no render-ahead helper)
+// and with the render-ahead helper that SimWorkers 0 (the default) and 2
+// give, and requires every externally visible result — each frame's
 // full FrameResult (cycles, hashes, cache and DRAM statistics, per-RU load,
 // per-tile heatmaps), the formatted stdout lines, the run summary and the
 // final frame pixels — to be identical. This is the contract stated on
@@ -69,12 +73,11 @@ func TestSerialParallelEquivalenceMatrix(t *testing.T) {
 	const frames = 3
 	for _, b := range libra.Benchmarks() {
 		b := b
-		serial := newSerialRun(t, equivalenceConfig(0), b.Abbrev)
 		t.Run(b.Abbrev, func(t *testing.T) {
 			t.Parallel()
-			ref, refPix := serial.RenderFrames(frames), serial.FramePixels()
+			ref, refPix := renderMatrixFrames(t, b.Abbrev, 1, frames)
 			refSum := libra.Summarize(ref, 1).String()
-			for _, workers := range []int{2, 4} {
+			for _, workers := range []int{0, 2} {
 				got, gotPix := renderMatrixFrames(t, b.Abbrev, workers, frames)
 				for i := range ref {
 					if !reflect.DeepEqual(ref[i], got[i]) {
@@ -99,15 +102,13 @@ func renderMatrixFramesRE(t *testing.T, game string, workers, frames int, re boo
 	t.Helper()
 	cfg := equivalenceConfig(workers)
 	cfg.RenderElim = re
-	r, err := libra.NewRun(cfg, game)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := newHelperRun(t, cfg, game)
 	return r.RenderFrames(frames), r.FramePixels()
 }
 
 // TestRenderElimEquivalenceMatrix extends the 32-profile matrix with the
-// Rendering Elimination axis: {RE off, RE on} × {serial engine, 4 workers}. Within
+// Rendering Elimination axis: {RE off, RE on} × {serial engine, render-ahead
+// helper}. Within
 // each RE setting the serial and parallel cells must be fully DeepEqual
 // (frames, summaries, pixels) — SimWorkers stays unobservable with skips in
 // play. Across the RE axis, rendered output must be identical on every
@@ -122,16 +123,12 @@ func TestRenderElimEquivalenceMatrix(t *testing.T) {
 	const frames = 3
 	for _, b := range libra.Benchmarks() {
 		b := b
-		cfgOn := equivalenceConfig(0)
-		cfgOn.RenderElim = true
-		serialOff := newSerialRun(t, equivalenceConfig(0), b.Abbrev)
-		serialOn := newSerialRun(t, cfgOn, b.Abbrev)
 		t.Run(b.Abbrev, func(t *testing.T) {
 			t.Parallel()
-			off, offPix := serialOff.RenderFrames(frames), serialOff.FramePixels()
-			on, onPix := serialOn.RenderFrames(frames), serialOn.FramePixels()
+			off, offPix := renderMatrixFramesRE(t, b.Abbrev, 1, frames, false)
+			on, onPix := renderMatrixFramesRE(t, b.Abbrev, 1, frames, true)
 
-			// Serial vs 4 workers, inside each RE setting.
+			// Serial vs the render-ahead helper, inside each RE setting.
 			for _, cell := range []struct {
 				re   bool
 				ref  []libra.FrameResult
@@ -141,18 +138,18 @@ func TestRenderElimEquivalenceMatrix(t *testing.T) {
 				{false, off, offPix, "RE off"},
 				{true, on, onPix, "RE on"},
 			} {
-				par, parPix := renderMatrixFramesRE(t, b.Abbrev, 4, frames, cell.re)
+				par, parPix := renderMatrixFramesRE(t, b.Abbrev, 0, frames, cell.re)
 				for i := range cell.ref {
 					if !reflect.DeepEqual(cell.ref[i], par[i]) {
-						t.Errorf("%s: workers=4 frame %d diverges from serial:\nserial:   %s\nparallel: %s",
+						t.Errorf("%s: helper frame %d diverges from serial:\nserial:   %s\nparallel: %s",
 							cell.name, i, frameLine(cell.ref[i]), frameLine(par[i]))
 					}
 				}
 				if a, b := libra.Summarize(cell.ref, 1).String(), libra.Summarize(par, 1).String(); a != b {
-					t.Errorf("%s: workers=4 summary diverges:\nserial:   %s\nparallel: %s", cell.name, a, b)
+					t.Errorf("%s: helper summary diverges:\nserial:   %s\nparallel: %s", cell.name, a, b)
 				}
 				if !reflect.DeepEqual(cell.pix, parPix) {
-					t.Errorf("%s: workers=4 final pixels diverge from serial", cell.name)
+					t.Errorf("%s: helper final pixels diverge from serial", cell.name)
 				}
 			}
 
@@ -183,9 +180,9 @@ func TestRenderElimEquivalenceMatrix(t *testing.T) {
 }
 
 // TestGoldenFrameHashesParallel is the parallel twin of
-// TestGoldenFrameHashes: 4-worker rasterization must reproduce the committed
-// golden hashes exactly, tying the parallel engine to the same long-lived
-// reference the serial renderer answers to.
+// TestGoldenFrameHashes: the engine with its render-ahead helper must
+// reproduce the committed golden hashes exactly, tying it to the same
+// long-lived reference the serial renderer answers to.
 func TestGoldenFrameHashesParallel(t *testing.T) {
 	if testing.Short() {
 		t.Skip("renders the whole suite")
@@ -200,12 +197,9 @@ func TestGoldenFrameHashesParallel(t *testing.T) {
 			}
 			cfg := libra.Baseline(320, 192, 8)
 			cfg.SimWorkers = 4
-			r, err := libra.NewRun(cfg, b.Abbrev)
-			if err != nil {
-				t.Fatal(err)
-			}
+			r := newHelperRun(t, cfg, b.Abbrev)
 			if got := r.RenderFrames(2)[1].FrameHash; got != want {
-				t.Errorf("%s: 4-worker frame hash %#x, golden %#x", b.Abbrev, got, want)
+				t.Errorf("%s: render-ahead frame hash %#x, golden %#x", b.Abbrev, got, want)
 			}
 		})
 	}
@@ -218,18 +212,15 @@ func renderMatrixFramesReplay(t *testing.T, game string, simWorkers, replayWorke
 	cfg := equivalenceConfig(simWorkers)
 	cfg.ReplayWorkers = replayWorkers
 	cfg.RenderElim = re
-	r, err := libra.NewRun(cfg, game)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := newHelperRun(t, cfg, game)
 	return r.RenderFrames(frames), r.FramePixels()
 }
 
 // TestReplayEquivalenceMatrix is the three-axis matrix of the epoch-parallel
 // replay (DESIGN §15): every registered benchmark ×
-// {serial, sim-workers 4} × {replay-workers 1, 2, 4} × {RE off, on}. Within
-// each Rendering Elimination setting, every cell must reproduce the serial
-// rw=1 reference exactly — full FrameResult DeepEqual (cycles, FrameHash,
+// {sim-workers 0, 4} × {replay-workers 1, 2, 4} × {RE off, on}. Within each
+// Rendering Elimination setting, every cell must reproduce the serial
+// reference (sim-workers 1, replay-workers 1) exactly — full FrameResult DeepEqual (cycles, FrameHash,
 // cache and DRAM statistics, per-RU load, per-tile heatmaps), formatted
 // stdout lines via the summary, and final pixels. Across the RE axis the
 // rendered output (pixels, FrameHash) must be identical as ever. This is the
@@ -252,7 +243,7 @@ func TestReplayEquivalenceMatrix(t *testing.T) {
 				if re {
 					reName = "RE on"
 				}
-				ref, refPix := renderMatrixFramesReplay(t, b.Abbrev, 0, 1, frames, re)
+				ref, refPix := renderMatrixFramesReplay(t, b.Abbrev, 1, 1, frames, re)
 				refSum := libra.Summarize(ref, 1).String()
 				refPixByRE[reIdx] = refPix
 				for i := range ref {
