@@ -68,8 +68,9 @@ type Config struct {
 	// SimWorkers is the number of goroutines rendering one simulation's
 	// tiles, its timing replay included (intra-frame parallelism, DESIGN §9):
 	// 1 is the serial engine, where the replay renders every tile itself;
-	// 0 (the default) or any larger value adds one render-ahead helper that
-	// renders the tiles the scheduler dispatches next while the replay runs.
+	// 0 (the zero value) or any larger value adds one render-ahead helper
+	// that renders the tiles the scheduler dispatches next while the replay
+	// runs.
 	// More than one helper has not been measured to help, so larger values
 	// buy nothing more. The engine caps helpers at GOMAXPROCS−1, so a
 	// single-CPU process always runs the serial engine. Results are

@@ -30,9 +30,9 @@ type Params struct {
 	// ratio of the FHD evaluation is preserved (0 = Table I's 2 MB).
 	L2KB int
 	// SimWorkers is each simulation's intra-frame worker count
-	// (libra.Config.SimWorkers): 1 is the serial engine; 0 or a larger value
-	// adds a render-ahead helper where GOMAXPROCS allows. All results — and hence
-	// every figure and table — are byte-identical for any value.
+	// (libra.Config.SimWorkers): 1 is the serial engine; 0 or a larger
+	// value adds a render-ahead helper where GOMAXPROCS allows. All results
+	// — and hence every figure and table — are byte-identical for any value.
 	SimWorkers int
 	// ReplayWorkers parallelizes each simulation's cycle-accurate timing
 	// replay across that many classifier goroutines
