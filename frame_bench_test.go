@@ -82,7 +82,7 @@ func BenchmarkFrameWorkers(b *testing.B) {
 // differ, and it only improves when the host grants the process multiple
 // CPUs.
 func BenchmarkFrameReplayWorkers(b *testing.B) {
-	for _, workers := range []int{1, 2} {
+	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			cfg := libra.LIBRA(640, 384, 2)
 			cfg.SimWorkers = 4
