@@ -27,10 +27,11 @@ STRESS_PKGS := ./internal/serve ./internal/experiments ./internal/resultstore ./
 STRESS_RUN := '^(TestAdmission|TestConcurrentRunWithCancellation|TestShutdown|TestRunBackpressure429|TestRequestTimeout504|TestSlowHeadersDisconnected|TestSlowBodyCutOff|TestRunOutlivesReadTimeout|TestSingleflight|TestFollower|TestCancelledLeader|TestCancelledRun|TestCancelAborts|TestPool|TestStoreSharedKeyOneSimulation|TestLockMutualExclusion|TestStaleLockTakeover|TestPutOverwriteIsAtomic|TestRenderAhead|TestReplayParallelMatchesSerial|TestReplayClassifierPanicPropagates)'
 
 # The timed benchmarks BENCH_ci.json records and gates: the end-to-end frame
-# rows of the root package and the raster layer's row beneath them, each at
-# one and two CPUs, so the render-ahead helper's single-CPU cost is gated
-# beside its two-CPU gain.
-BENCH_TIMED := -bench 'Frame|RenderTileInto' -benchmem -count 5 -cpu 1,2 -run '^$$' -timeout 0 . ./internal/raster
+# rows of the root package and the layer rows beneath them — geometry,
+# binning, tile signatures, rasterization and the trace write — each at one
+# and two CPUs, so the render-ahead helper's single-CPU cost is gated beside
+# its two-CPU gain.
+BENCH_TIMED := -bench 'Frame|RenderTileInto|Geometry|Bin|TileSignatures|TraceWrite' -benchmem -count 5 -cpu 1,2 -run '^$$' -timeout 0 . ./internal/raster ./internal/gpipe ./internal/tiling ./internal/trace
 # Where `make profile` writes the CPU profile and its -top listing.
 PROFILE_DIR ?= /tmp
 
@@ -179,5 +180,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzResultKey -fuzztime 15s ./internal/experiments
 	$(GO) test -run '^$$' -fuzz FuzzDecodeRunRequest -fuzztime 15s ./internal/serve
 	$(GO) test -run '^$$' -fuzz FuzzTileSignature -fuzztime 15s ./internal/tiling
+	$(GO) test -run '^$$' -fuzz FuzzRasterMatchesReference -fuzztime 15s ./internal/raster
+	$(GO) test -run '^$$' -fuzz FuzzTexelAddr -fuzztime 15s ./internal/scene
 
 ci: build vet fmt lint lint-fix-check test race stress bench bench-gate determinism trace-smoke store-smoke serve-smoke fuzz cover

@@ -6,7 +6,6 @@ package core
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/energy"
 	"repro/internal/gpipe"
@@ -497,29 +496,13 @@ func (g *GPU) capSupertile(size int) int {
 }
 
 // textureReplication returns the fraction of texture lines resident in more
-// than one texture L1 (the block-replication metric of §V-A.3). The resident
-// lines of all L1s are gathered into a reused scratch slice and sorted;
-// replicated lines appear as runs longer than one — no per-frame map.
+// than one texture L1 (the block-replication metric of §V-A.3), counted set
+// by set into a reused scratch slice — no per-frame map, no global sort.
 func (g *GPU) textureReplication() float64 {
-	lines := g.replLines[:0]
-	for _, c := range g.eng.TextureCaches() {
-		lines = c.AppendLines(lines)
-	}
-	g.replLines = lines
-	if len(lines) == 0 {
+	var replicated, total int
+	replicated, total, g.replLines = cache.CountReplicated(g.eng.TextureCaches(), g.replLines)
+	if total == 0 {
 		return 0
 	}
-	slices.Sort(lines)
-	replicated := 0
-	for i := 0; i < len(lines); {
-		j := i + 1
-		for j < len(lines) && lines[j] == lines[i] {
-			j++
-		}
-		if j-i > 1 {
-			replicated += j - i
-		}
-		i = j
-	}
-	return float64(replicated) / float64(len(lines))
+	return float64(replicated) / float64(total)
 }

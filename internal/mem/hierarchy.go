@@ -75,7 +75,7 @@ func NewHierarchy(l2cfg cache.Config, dcfg dram.Config) *Hierarchy {
 //
 //libra:hotpath
 func (h *Hierarchy) AccessThroughL1(l1 *cache.Cache, now int64, addr uint64, write bool) AccessResult {
-	l1lat := l1.Config().HitLatency
+	l1lat := l1.HitLatency()
 	if h.IdealL1 {
 		// Still touch the cache functionally so downstream hit ratios stay
 		// comparable, but serve everything at L1 latency.
@@ -122,7 +122,7 @@ func (h *Hierarchy) AccessThroughL1(l1 *cache.Cache, now int64, addr uint64, wri
 // AccessL2 performs a timed access that starts at the shared L2 (used for
 // units without an L1, e.g. color-buffer flush traffic).
 func (h *Hierarchy) AccessL2(now int64, addr uint64, write bool) AccessResult {
-	l2lat := h.L2.Config().HitLatency
+	l2lat := h.L2.HitLatency()
 	r2 := h.L2.Access(addr, write)
 	if h.Rec != nil {
 		h.Rec.CacheAccess(telemetry.CacheL2, now, r2.Hit)

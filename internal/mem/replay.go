@@ -104,7 +104,7 @@ func (h *Hierarchy) ClassifyL1(l1 *cache.Cache, addr uint64, write bool) L1Outco
 //
 //libra:hotpath
 func (h *Hierarchy) ReplayThroughL1(l1 *cache.Cache, now int64, addr uint64, write bool, o L1Outcome) AccessResult {
-	l1lat := l1.Config().HitLatency
+	l1lat := l1.HitLatency()
 	if h.IdealL1 {
 		if h.Rec != nil {
 			h.Rec.CacheAccess(telemetry.CacheL1, now, true)

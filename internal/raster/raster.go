@@ -222,9 +222,62 @@ func (e edge) inside(v float32) bool {
 	return v == 0 && e.topLeft
 }
 
-// rasterPrim rasterizes one triangle into the tile, quad by quad.
+// reaches reports whether any sample centre of the pixel box [x0,x1]×[y0,y1]
+// can be inside the edge. eval rounds monotonically in x and y, so its
+// largest value over the box is at the corner the signs of A and B pick,
+// and inside is monotone in that value: false is exact, not conservative —
+// no sample of the box is inside (DESIGN.md §16). It evaluates the corner
+// through the same eval as the pixel loop, so both round alike.
+func (e edge) reaches(x0, y0, x1, y1 int) bool {
+	x, y := x0, y0
+	if e.A > 0 {
+		x = x1
+	}
+	if e.B > 0 {
+		y = y1
+	}
+	return e.inside(e.eval(float32(x)+0.5, float32(y)+0.5))
+}
+
+// triangle is one primitive's setup: its three edges and what perspective-
+// correct interpolation needs besides the edge values.
+type triangle struct {
+	e12, e20, e01 edge // λ0, λ1, λ2
+	v0, v1, v2    *geom.Vertex
+	invArea       float32
+	invW0, invW1  float32
+	invW2         float32
+}
+
+// mayCover reports whether the triangle can cover a sample of the pixel box
+// [x0,x1]×[y0,y1]; false means it covers none.
+func (t *triangle) mayCover(x0, y0, x1, y1 int) bool {
+	return t.e12.reaches(x0, y0, x1, y1) && t.e20.reaches(x0, y0, x1, y1) && t.e01.reaches(x0, y0, x1, y1)
+}
+
+// uvAt interpolates the UV alone at the sample centre (px, py), with the
+// fragment path's float operations in its order; ok is false where the
+// perspective denominator vanishes.
+func (t *triangle) uvAt(px, py float32) (uv geom.Vec2, ok bool) {
+	q0 := t.e12.eval(px, py) * t.invArea * t.invW0
+	q1 := t.e20.eval(px, py) * t.invArea * t.invW1
+	q2 := t.e01.eval(px, py) * t.invArea * t.invW2
+	den := q0 + q1 + q2
+	if den == 0 {
+		return geom.Vec2{}, false
+	}
+	inv := 1 / den
+	return geom.V2(
+		(q0*t.v0.UV.X+q1*t.v1.UV.X+q2*t.v2.UV.X)*inv,
+		(q0*t.v0.UV.Y+q1*t.v1.UV.Y+q2*t.v2.UV.Y)*inv,
+	), true
+}
+
+// rasterPrim rasterizes one triangle into the tile, quad by quad. Quad rows
+// and quads no sample of which the triangle covers are skipped before any
+// per-pixel work (edge.reaches).
 func (r *Renderer) rasterPrim(p *gpipe.Primitive, mat *scene.Material, rect geom.Rect, w *TileWork) {
-	v0, v1, v2 := p.V[0], p.V[1], p.V[2]
+	v0, v1, v2 := &p.V[0], &p.V[1], &p.V[2]
 	area2 := geom.TriangleArea2(
 		geom.V2(v0.Pos.X, v0.Pos.Y),
 		geom.V2(v1.Pos.X, v1.Pos.Y),
@@ -240,11 +293,18 @@ func (r *Renderer) rasterPrim(p *gpipe.Primitive, mat *scene.Material, rect geom
 		v1, v2 = v2, v1
 		area2 = -area2
 	}
-	invArea := 1 / area2
-
-	e12 := makeEdge(v1.Pos.X, v1.Pos.Y, v2.Pos.X, v2.Pos.Y) // λ0
-	e20 := makeEdge(v2.Pos.X, v2.Pos.Y, v0.Pos.X, v0.Pos.Y) // λ1
-	e01 := makeEdge(v0.Pos.X, v0.Pos.Y, v1.Pos.X, v1.Pos.Y) // λ2
+	t := triangle{
+		e12:     makeEdge(v1.Pos.X, v1.Pos.Y, v2.Pos.X, v2.Pos.Y),
+		e20:     makeEdge(v2.Pos.X, v2.Pos.Y, v0.Pos.X, v0.Pos.Y),
+		e01:     makeEdge(v0.Pos.X, v0.Pos.Y, v1.Pos.X, v1.Pos.Y),
+		v0:      v0,
+		v1:      v1,
+		v2:      v2,
+		invArea: 1 / area2,
+		invW0:   1 / v0.Pos.W,
+		invW1:   1 / v1.Pos.W,
+		invW2:   1 / v2.Pos.W,
+	}
 
 	// Primitive bbox clipped to this tile, snapped to even pixels (quads).
 	b := p.ScreenBounds(r.grid.ScreenW, r.grid.ScreenH).Clip(rect)
@@ -252,44 +312,33 @@ func (r *Renderer) rasterPrim(p *gpipe.Primitive, mat *scene.Material, rect geom
 		return
 	}
 	qx0, qy0 := b.MinX&^1, b.MinY&^1
-	invW0, invW1, invW2 := 1/v0.Pos.W, 1/v1.Pos.W, 1/v2.Pos.W
-
-	// Attribute interpolation from the three edge values at a pixel center
-	// (the barycentrics before normalization by the area).
-	interp := func(ev12, ev20, ev01 float32) (z float32, uv geom.Vec2, col geom.Vec3, ok bool) {
-		l0 := ev12 * invArea
-		l1 := ev20 * invArea
-		l2 := ev01 * invArea
-		z = l0*v0.Pos.Z + l1*v1.Pos.Z + l2*v2.Pos.Z
-		q0 := l0 * invW0
-		q1 := l1 * invW1
-		q2 := l2 * invW2
-		den := q0 + q1 + q2
-		if den == 0 {
-			return 0, geom.Vec2{}, geom.Vec3{}, false
-		}
-		inv := 1 / den
-		uv = geom.V2(
-			(q0*v0.UV.X+q1*v1.UV.X+q2*v2.UV.X)*inv,
-			(q0*v0.UV.Y+q1*v1.UV.Y+q2*v2.UV.Y)*inv,
-		)
-		col = geom.V3(
-			(q0*v0.Color.X+q1*v1.Color.X+q2*v2.Color.X)*inv,
-			(q0*v0.Color.Y+q1*v1.Color.Y+q2*v2.Color.Y)*inv,
-			(q0*v0.Color.Z+q1*v1.Color.Z+q2*v2.Color.Z)*inv,
-		)
-		return z, uv, col, true
-	}
 
 	perFragInstr := mat.Program.InstructionsPerInvocation()
 	nTex := mat.Program.TexSamples
+	textured := nTex > 0 && len(mat.Textures) > 0
 	earlyZ := !mat.ForceLateZ
 
+	rowsReached := false
 	for qy := qy0; qy <= b.MaxY; qy += 2 {
+		y0, y1 := max(qy, b.MinY), min(qy+1, b.MaxY)
+		if !t.mayCover(b.MinX, y0, b.MaxX, y1) {
+			if rowsReached {
+				break // the rows mayCover passes are contiguous
+			}
+			continue
+		}
+		rowsReached = true
+		quadsReached := false
 		for qx := qx0; qx <= b.MaxX; qx += 2 {
+			if !t.mayCover(max(qx, b.MinX), y0, min(qx+1, b.MaxX), y1) {
+				if quadsReached {
+					break // so are the quads of a row
+				}
+				continue
+			}
+			quadsReached = true
 			// Per-quad UV derivatives for mip selection (computed lazily
 			// when the quad has coverage and textures).
-			var duvx, duvy geom.Vec2
 			haveDeriv := false
 
 			var quad QuadMeta
@@ -303,15 +352,30 @@ func (r *Renderer) rasterPrim(p *gpipe.Primitive, mat *scene.Material, rect geom
 					continue
 				}
 				px, py := float32(x)+0.5, float32(y)+0.5
-				ev12 := e12.eval(px, py)
-				ev20 := e20.eval(px, py)
-				ev01 := e01.eval(px, py)
-				if !e12.inside(ev12) || !e20.inside(ev20) || !e01.inside(ev01) {
+				ev12 := t.e12.eval(px, py)
+				if !t.e12.inside(ev12) {
+					continue
+				}
+				ev20 := t.e20.eval(px, py)
+				if !t.e20.inside(ev20) {
+					continue
+				}
+				ev01 := t.e01.eval(px, py)
+				if !t.e01.inside(ev01) {
 					continue
 				}
 				w.PixelsCovered++
-				z, uv, col, ok := interp(ev12, ev20, ev01)
-				if !ok {
+				// Perspective-correct interpolation from the edge values
+				// (the barycentrics before normalization by the area).
+				l0 := ev12 * t.invArea
+				l1 := ev20 * t.invArea
+				l2 := ev01 * t.invArea
+				z := l0*v0.Pos.Z + l1*v1.Pos.Z + l2*v2.Pos.Z
+				q0 := l0 * t.invW0
+				q1 := l1 * t.invW1
+				q2 := l2 * t.invW2
+				den := q0 + q1 + q2
+				if den == 0 {
 					continue
 				}
 				li := r.local(x, y, rect)
@@ -319,20 +383,24 @@ func (r *Renderer) rasterPrim(p *gpipe.Primitive, mat *scene.Material, rect geom
 					w.FragmentsKilled++
 					continue
 				}
+				inv := 1 / den
 
 				// Shade the fragment.
 				quad.Fragments++
 				w.FragmentsShaded++
 				quad.Instr += uint16(perFragInstr)
 
-				var texel geom.Vec3
-				if nTex > 0 && len(mat.Textures) > 0 {
+				texel := geom.V3(1, 1, 1)
+				if textured {
+					uv := geom.V2(
+						(q0*v0.UV.X+q1*v1.UV.X+q2*v2.UV.X)*inv,
+						(q0*v0.UV.Y+q1*v1.UV.Y+q2*v2.UV.Y)*inv,
+					)
 					if !haveDeriv {
-						_, uvX, _, okX := interp(e12.eval(px+1, py), e20.eval(px+1, py), e01.eval(px+1, py))
-						_, uvY, _, okY := interp(e12.eval(px, py+1), e20.eval(px, py+1), e01.eval(px, py+1))
+						uvX, okX := t.uvAt(px+1, py)
+						uvY, okY := t.uvAt(px, py+1)
 						if okX && okY {
-							duvx = uvX.Sub(uv)
-							duvy = uvY.Sub(uv)
+							duvx, duvy := uvX.Sub(uv), uvY.Sub(uv)
 							haveDeriv = true
 							// The derivatives are fixed for the rest of the
 							// quad, so each sampled slot's level is too.
@@ -344,7 +412,10 @@ func (r *Renderer) rasterPrim(p *gpipe.Primitive, mat *scene.Material, rect geom
 					}
 					quad.Samples += uint16(nTex)
 					for s2 := 0; s2 < nTex; s2++ {
-						j := s2 % len(mat.Textures)
+						j := s2
+						if j >= len(mat.Textures) {
+							j %= len(mat.Textures)
+						}
 						tex := mat.Textures[j]
 						level := 0 // what zero derivatives select
 						if haveDeriv {
@@ -355,8 +426,6 @@ func (r *Renderer) rasterPrim(p *gpipe.Primitive, mat *scene.Material, rect geom
 							texel = sampleColor(tex.ID, addr)
 						}
 					}
-				} else {
-					texel = geom.V3(1, 1, 1)
 				}
 
 				// Late Z-test after shading.
@@ -366,6 +435,11 @@ func (r *Renderer) rasterPrim(p *gpipe.Primitive, mat *scene.Material, rect geom
 				if mat.DepthWrite {
 					r.zbuf[li] = z
 				}
+				col := geom.V3(
+					(q0*v0.Color.X+q1*v1.Color.X+q2*v2.Color.X)*inv,
+					(q0*v0.Color.Y+q1*v1.Color.Y+q2*v2.Color.Y)*inv,
+					(q0*v0.Color.Z+q1*v1.Color.Z+q2*v2.Color.Z)*inv,
+				)
 				r.cbuf[li] = blendPixel(mat.Blend, r.cbuf[li], texel.Mul(col))
 			}
 			if quad.Fragments > 0 {

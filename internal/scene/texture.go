@@ -25,11 +25,19 @@ type Texture struct {
 	Levels int    // mip levels (1 = no mipmapping)
 	Base   uint64 // start address in the texture region
 
-	levelOffset []uint64 // byte offset of each mip level from Base
-	// levelW and levelH are the dimensions of every level of the full chain
-	// down to 1×1, even past Levels, so LevelDims is one clamped lookup.
-	levelW, levelH []int
-	totalBytes     uint64
+	// levels describes every level of the full chain down to 1×1, even
+	// past Levels, so LevelDims is one clamped lookup; only the first
+	// Levels entries have storage (a base address).
+	levels     []texLevel
+	totalBytes uint64
+}
+
+// texLevel is what TexelAddr needs of one mip level, in one record.
+type texLevel struct {
+	w, h     int
+	fw, fh   float32 // w and h as float32
+	rowShift uint    // log2 of the level's blocks per row
+	base     uint64  // the level's start address
 }
 
 // NewTexture lays out a texture with a full mip chain down to 1×1 (or fewer
@@ -48,12 +56,14 @@ func NewTexture(id, w, h int, base uint64, maxLevels int) *Texture {
 	off := uint64(0)
 	lw, lh := w, h
 	for l := 0; l < full; l++ {
-		t.levelW = append(t.levelW, lw)
-		t.levelH = append(t.levelH, lh)
+		lv := texLevel{w: lw, h: lh, fw: float32(lw), fh: float32(lh)}
+		// Blocks per row: max(1, lw/BlockDim), a power of two.
+		lv.rowShift = uint(bits.Len(uint(max(1, lw/BlockDim)))) - 1
 		if l < levels {
-			t.levelOffset = append(t.levelOffset, off)
+			lv.base = base + off
 			off += uint64(lw*lh) * TexelBytes
 		}
+		t.levels = append(t.levels, lv)
 		lw = max(1, lw/2)
 		lh = max(1, lh/2)
 	}
@@ -68,21 +78,21 @@ func (t *Texture) SizeBytes() uint64 { return t.totalBytes }
 // l <= 0, and the halving continued to 1×1 for any l, including levels past
 // Levels.
 func (t *Texture) LevelDims(l int) (w, h int) {
-	l = min(max(l, 0), len(t.levelW)-1)
-	return t.levelW[l], t.levelH[l]
+	lv := &t.levels[min(max(l, 0), len(t.levels)-1)]
+	return lv.w, lv.h
 }
 
 // TexelAddr returns the byte address of the texel at normalized coordinates
 // (u, v) in mip level l, using the blocked (tiled) layout. Coordinates wrap
 // (repeat addressing), matching common game usage.
+//
+// Block dimensions and blocks per row are powers of two, so the block
+// arithmetic is shifts and masks. They equal division and remainder for
+// every x, y reached: a non-negative one, or a negative one from a
+// saturated or huge float conversion, which is a multiple of BlockDim
+// (DESIGN.md §16).
 func (t *Texture) TexelAddr(u, v float32, l int) uint64 {
-	if l < 0 {
-		l = 0
-	}
-	if l >= t.Levels {
-		l = t.Levels - 1
-	}
-	w, h := t.levelW[l], t.levelH[l]
+	lv := &t.levels[min(max(l, 0), t.Levels-1)]
 	// Repeat wrap into [0,1).
 	u -= float32(int(u))
 	if u < 0 {
@@ -92,21 +102,19 @@ func (t *Texture) TexelAddr(u, v float32, l int) uint64 {
 	if v < 0 {
 		v += 1
 	}
-	x := int(u * float32(w))
-	y := int(v * float32(h))
-	if x >= w {
-		x = w - 1
+	x := int(u * lv.fw)
+	y := int(v * lv.fh)
+	if x >= lv.w {
+		x = lv.w - 1
 	}
-	if y >= h {
-		y = h - 1
+	if y >= lv.h {
+		y = lv.h - 1
 	}
 	// Blocked layout: blocks of BlockDim×BlockDim texels are contiguous.
-	blocksPerRow := max(1, w/BlockDim)
-	bx, by := x/BlockDim, y/BlockDim
-	inX, inY := x%BlockDim, y%BlockDim
-	blockIndex := by*blocksPerRow + bx
-	texelIndex := blockIndex*(BlockDim*BlockDim) + inY*BlockDim + inX
-	return t.Base + t.levelOffset[l] + uint64(texelIndex)*TexelBytes
+	const blockShift = 2 // log2(BlockDim)
+	blockIndex := (y>>blockShift)<<lv.rowShift + x>>blockShift
+	texelIndex := blockIndex<<(2*blockShift) + (y&(BlockDim-1))<<blockShift + x&(BlockDim-1)
+	return lv.base + uint64(texelIndex)*TexelBytes
 }
 
 // TextureAllocator hands out non-overlapping texture address ranges within

@@ -53,10 +53,12 @@ import (
 )
 
 // aheadWindow is how many upcoming tiles per Raster Unit render-ahead asks
-// the scheduler for. With helpers, the pool holds aheadWindow slots per RU:
-// the tile it is replaying and aheadWindow−1 rendered ahead. Larger windows
-// measured slower: helpers then render tiles the replay reaches late, while
-// nearer ones go unclaimed.
+// the scheduler for. With helpers, the pool holds aheadWindow+1 slots per
+// RU: the tile it is replaying and one for every tile of its lookahead, so
+// a helper runs out of wished-for tiles before it runs out of slots (with
+// one slot fewer per RU, most helper exits were for want of a slot,
+// DESIGN.md §9). Larger windows measured slower: helpers then render tiles
+// the replay reaches late, while nearer ones go unclaimed.
 const aheadWindow = 4
 
 // maxHelpers is the render-ahead helper count of an engine that has them.

@@ -399,8 +399,9 @@ func (c *countHelped) Peek(ru int, dst []int) []int {
 // TestNewEngineRenderAheadShape pins how NewEngine sizes render-ahead:
 // Workers 1 is the serial engine, any other value gets maxHelpers helpers
 // capped at GOMAXPROCS−1, none when the parallel replay's render farm
-// renders instead, and aheadWindow pool slots per RU with helpers (one
-// without).
+// renders instead, and aheadWindow+1 pool slots per RU with helpers: the
+// tile it replays and a spare for every tile of its lookahead (one slot
+// without helpers).
 func TestNewEngineRenderAheadShape(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, procs := range []int{1, 2, 4} {
@@ -416,7 +417,7 @@ func TestNewEngineRenderAheadShape(t *testing.T) {
 				}
 				pool := 2
 				if helpers > 0 {
-					pool = 2 * aheadWindow
+					pool = 2 * (aheadWindow + 1)
 				}
 				if got := len(eng.ahead.renderers); got != helpers {
 					t.Errorf("procs=%d workers=%d replay=%d: %d helpers, want %d", procs, workers, rw, got, helpers)

@@ -18,12 +18,13 @@
 //     scheduler order. Config.ReplayWorkers is spread over the streams as
 //     `shards` classifier goroutines each; shard k of an RU walks every tile
 //     of the stream in order, reproduces the drain's core round-robin
-//     (rr / QuadBlock % CoresPerRU, rr continuous across the frame exactly
-//     like rasterUnit.rr), and classifies the quads of the cores it owns
-//     (core % shards == k) against the RU's real per-core L1s. Each L1 is
-//     touched by exactly one goroutine, in exactly the per-cache order the
-//     serial engine would use, so its hit/miss/victim outcomes — and its
-//     final statistics and contents — are identical by construction.
+//     (rr / QuadBlock % CoresPerRU, rr counting quads continuously across
+//     the frame, as rasterUnit.core and coreQuads do), and classifies the
+//     quads of the cores it owns (core % shards == k) against the RU's real
+//     per-core L1s. Each L1 is touched by exactly one goroutine, in exactly
+//     the per-cache order the serial engine would use, so its
+//     hit/miss/victim outcomes — and its final statistics and contents —
+//     are identical by construction.
 //   - The drain consumes a tile's recorded outcomes on first touch
 //     (processBatch waits until all shards finished the tile) and feeds them
 //     to ReplayThroughL1 at the cycles its own clock dictates. Identical L1

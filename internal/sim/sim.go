@@ -255,9 +255,13 @@ type rasterUnit struct {
 	now      int64
 	coreFree []int64
 	rings    []warpRing
-	rr       int
 	feClock  float64 // rasterizer front-end availability (absolute cycles)
 	feStep   float64 // front-end occupancy per quad for the current tile
+
+	// core is the shader core the next quad goes to and coreQuads how many
+	// quads it has had of its QuadBlock: the round-robin in QuadBlock-quad
+	// blocks, continuous across the frame's tiles.
+	core, coreQuads int
 
 	// work points at the tile currently being replayed: a render-ahead pool
 	// slot when rendering live, or the caller's Works entry in replay modes.
@@ -330,7 +334,7 @@ func NewEngine(cfg Config, grid tiling.Grid, hier *mem.Hierarchy) *Engine {
 	if cfg.ReplayWorkers <= 1 && cfg.Workers != 1 {
 		helpers = min(maxHelpers, runtime.GOMAXPROCS(0)-1)
 	}
-	e.setRenderAhead(helpers, aheadWindow, (aheadWindow-1)*cfg.RasterUnits)
+	e.setRenderAhead(helpers, aheadWindow, aheadWindow*cfg.RasterUnits)
 	return e
 }
 
@@ -447,7 +451,7 @@ func (e *Engine) RunRaster(in FrameInput) FrameOutput {
 		ru.done = false
 		ru.tileActive = false
 		ru.quadIdx = 0
-		ru.rr = 0
+		ru.core, ru.coreQuads = 0, 0
 		ru.tileOut = nil
 		ru.repCursor = 0
 		ru.stats = RUStats{StartCycle: in.StartCycle}
@@ -626,10 +630,18 @@ func (e *Engine) processBatch(ru *rasterUnit, in FrameInput) {
 		limit = len(quads)
 	}
 	dram := 0
+	// compute is the core cycles of a quad of prevInstr instructions:
+	// consecutive quads of a draw mostly share their instruction count.
+	prevInstr, compute := -1, int64(0)
 	for ; ru.quadIdx < limit; ru.quadIdx++ {
 		q := quads[ru.quadIdx]
-		c := (ru.rr / e.cfg.QuadBlock) % e.cfg.CoresPerRU
-		ru.rr++
+		c := ru.core
+		if ru.coreQuads++; ru.coreQuads == e.cfg.QuadBlock {
+			ru.coreQuads = 0
+			if ru.core++; ru.core == e.cfg.CoresPerRU {
+				ru.core = 0
+			}
+		}
 
 		start := ru.coreFree[c]
 		if ru.rings[c].n >= e.cfg.WarpsPerCore {
@@ -668,9 +680,9 @@ func (e *Engine) processBatch(ru *rasterUnit, in FrameInput) {
 			}
 		}
 
-		compute := int64(float64(q.Instr) / e.cfg.IPC)
-		if compute < 1 {
-			compute = 1
+		if int(q.Instr) != prevInstr {
+			prevInstr = int(q.Instr)
+			compute = max(int64(float64(q.Instr)/e.cfg.IPC), 1)
 		}
 		ru.stats.ComputeCycles += compute
 		ru.coreFree[c] = start + compute
