@@ -564,9 +564,5 @@ func packColor(c geom.Vec3) uint32 {
 }
 
 func unpackColor(p uint32) geom.Vec3 {
-	return geom.V3(
-		float32((p>>16)&0xFF)/255,
-		float32((p>>8)&0xFF)/255,
-		float32(p&0xFF)/255,
-	)
+	return geom.V3(channel[(p>>16)&0xFF], channel[(p>>8)&0xFF], channel[p&0xFF])
 }
