@@ -7,11 +7,11 @@ import "slices"
 // resident copy (total): the inputs of the block-replication metric. buf is
 // scratch, returned grown for reuse.
 //
-// Caches of one geometry (line size, set count, associativity) map a line
-// to the same set index in each, so duplicates are counted set by set,
-// over at most len(caches)×Ways lines at a time. Caches of differing
-// geometries fall back to sorting every resident line. Each line is
-// resident at most once per cache, so both count the same copies.
+// The caches must share one geometry (line size, set count, associativity),
+// as the texture L1s built from one Config do; it panics otherwise. A line
+// then maps to the same set index in each, and is resident at most once per
+// cache, so duplicates are counted set by set, over at most
+// len(caches)×Ways lines at a time, instead of sorting every resident line.
 func CountReplicated(caches []*Cache, buf []uint64) (replicated, total int, _ []uint64) {
 	if len(caches) == 0 {
 		return 0, 0, buf
@@ -19,11 +19,7 @@ func CountReplicated(caches []*Cache, buf []uint64) (replicated, total int, _ []
 	first := caches[0]
 	for _, c := range caches[1:] {
 		if c.numSets != first.numSets || c.cfg.Ways != first.cfg.Ways || c.lineShift != first.lineShift {
-			buf = buf[:0]
-			for _, c := range caches {
-				buf = c.AppendLines(buf)
-			}
-			return countRuns(buf), len(buf), buf
+			panic("cache: CountReplicated over caches of differing geometry")
 		}
 	}
 	ways := first.cfg.Ways

@@ -630,9 +630,6 @@ func (e *Engine) processBatch(ru *rasterUnit, in FrameInput) {
 		limit = len(quads)
 	}
 	dram := 0
-	// compute is the core cycles of a quad of prevInstr instructions:
-	// consecutive quads of a draw mostly share their instruction count.
-	prevInstr, compute := -1, int64(0)
 	for ; ru.quadIdx < limit; ru.quadIdx++ {
 		q := quads[ru.quadIdx]
 		c := ru.core
@@ -680,10 +677,7 @@ func (e *Engine) processBatch(ru *rasterUnit, in FrameInput) {
 			}
 		}
 
-		if int(q.Instr) != prevInstr {
-			prevInstr = int(q.Instr)
-			compute = max(int64(float64(q.Instr)/e.cfg.IPC), 1)
-		}
+		compute := max(int64(float64(q.Instr)/e.cfg.IPC), 1)
 		ru.stats.ComputeCycles += compute
 		ru.coreFree[c] = start + compute
 		complete := start + maxLat
