@@ -202,8 +202,9 @@ func rasterPrimRef(r *Renderer, p *gpipe.Primitive, mat *scene.Material, rect ge
 const exactW, exactH = 3*tiling.TileSize - 5, 2*tiling.TileSize - 9
 
 // exactScene has one draw call whose material the mode bits choose:
-// texturing (two textures, one of them minified), early or late Z, depth
-// writes and the blend mode.
+// texturing (two textures, one of them minified, or the first alone, so
+// the second sample wraps onto it), early or late Z, depth writes and the
+// blend mode.
 func exactScene(mode uint8) *scene.Scene {
 	mat := scene.Material{
 		Program:    shader.Flat,
@@ -216,6 +217,9 @@ func exactScene(mode uint8) *scene.Scene {
 		mat.Textures = []*scene.Texture{
 			scene.NewTexture(1, 256, 128, 0x4000_0000, 0),
 			scene.NewTexture(2, 2, 8, 0x4100_0000, 0),
+		}
+		if mode&0x80 != 0 {
+			mat.Textures = mat.Textures[:1]
 		}
 	}
 	s := scene.NewScene()

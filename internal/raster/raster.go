@@ -316,6 +316,14 @@ func (r *Renderer) rasterPrim(p *gpipe.Primitive, mat *scene.Material, rect geom
 	perFragInstr := mat.Program.InstructionsPerInvocation()
 	nTex := mat.Program.TexSamples
 	textured := nTex > 0 && len(mat.Textures) > 0
+	// Sample slots past the texture count wrap onto earlier slots: the same
+	// texture at the same UV and level, whose footprint lines the earlier
+	// slot has already added to the quad (appendUniqueLine). Only the
+	// distinct slots are sampled; every slot still counts in Samples.
+	var texs []*scene.Texture
+	if textured {
+		texs = mat.Textures[:min(nTex, len(mat.Textures))]
+	}
 	earlyZ := !mat.ForceLateZ
 
 	rowsReached := false
@@ -328,15 +336,16 @@ func (r *Renderer) rasterPrim(p *gpipe.Primitive, mat *scene.Material, rect geom
 			continue
 		}
 		rowsReached = true
-		quadsReached := false
-		for qx := qx0; qx <= b.MaxX; qx += 2 {
-			if !t.mayCover(max(qx, b.MinX), y0, min(qx+1, b.MaxX), y1) {
-				if quadsReached {
-					break // so are the quads of a row
-				}
-				continue
-			}
-			quadsReached = true
+		// So are the quads of a row: find the first from the left and the
+		// last from the right, and walk the quads between them untested.
+		lo, hi := qx0, b.MaxX&^1
+		for lo <= hi && !t.mayCover(max(lo, b.MinX), y0, min(lo+1, b.MaxX), y1) {
+			lo += 2
+		}
+		for hi > lo && !t.mayCover(max(hi, b.MinX), y0, min(hi+1, b.MaxX), y1) {
+			hi -= 2
+		}
+		for qx := lo; qx <= hi; qx += 2 {
 			// Per-quad UV derivatives for mip selection (computed lazily
 			// when the quad has coverage and textures).
 			haveDeriv := false
@@ -405,24 +414,19 @@ func (r *Renderer) rasterPrim(p *gpipe.Primitive, mat *scene.Material, rect geom
 							// The derivatives are fixed for the rest of the
 							// quad, so each sampled slot's level is too.
 							r.levels = r.levels[:0]
-							for _, tex := range mat.Textures[:min(nTex, len(mat.Textures))] {
+							for _, tex := range texs {
 								r.levels = append(r.levels, mipLevel(duvx, duvy, tex.W, tex.H))
 							}
 						}
 					}
 					quad.Samples += uint16(nTex)
-					for s2 := 0; s2 < nTex; s2++ {
-						j := s2
-						if j >= len(mat.Textures) {
-							j %= len(mat.Textures)
-						}
-						tex := mat.Textures[j]
+					for j, tex := range texs {
 						level := 0 // what zero derivatives select
 						if haveDeriv {
 							level = r.levels[j]
 						}
 						addr := r.sampleFootprint(w, texBefore, tex, uv, level)
-						if s2 == 0 {
+						if j == 0 {
 							texel = sampleColor(tex.ID, addr)
 						}
 					}
