@@ -3,14 +3,12 @@
 
 GO ?= go
 PKGS := ./...
-# Packages the parallel experiment engine, the intra-frame render-ahead
-# helpers and the epoch-parallel timing replay exercise concurrently — the
-# race detector's regression surface (telemetry: one shared Trace fed by the
-# pool; raster: disjoint-tile FrameBuffer writes; sim/mem: render-ahead's
-# claim/wait handshake, the replay classifier farm's stream handshake and
-# the L1 classification split; serve: concurrent
-# /v1/run with mid-flight cancellation against the shared singleflight
-# runner).
+# Packages the parallel experiment engine and the intra-frame render-ahead
+# helper exercise concurrently — the race detector's regression surface
+# (telemetry: one shared Trace fed by the pool; raster: disjoint-tile
+# FrameBuffer writes; sim: render-ahead's claim/wait handshake; serve:
+# concurrent /v1/run with mid-flight cancellation against the shared
+# singleflight runner).
 RACE_PKGS := . ./internal/experiments ./internal/core ./internal/sim ./internal/mem ./internal/telemetry ./internal/raster ./internal/resultstore ./internal/serve
 # Statement-coverage floor: just under the measured baseline (73.8% with the
 # service layer and its uncovered cmd/libraserve + cmd/loadgen mains, which
@@ -21,10 +19,10 @@ COVERAGE_MIN ?= 73.5
 # The concurrency tests the stress lane repeats under the race detector: the
 # service's admission, drain and cancellation paths, the experiment
 # singleflight and pool, the result store's locks and atomic writes, and the
-# engine's render-ahead helpers and replay classifier farm. -short trims the
-# render-ahead equivalence matrices to their most concurrent corner.
+# engine's render-ahead helpers. -short trims the render-ahead equivalence
+# matrices to their most concurrent corner.
 STRESS_PKGS := ./internal/serve ./internal/experiments ./internal/resultstore ./internal/sim
-STRESS_RUN := '^(TestAdmission|TestConcurrentRunWithCancellation|TestShutdown|TestRunBackpressure429|TestRequestTimeout504|TestSlowHeadersDisconnected|TestSlowBodyCutOff|TestRunOutlivesReadTimeout|TestSingleflight|TestFollower|TestCancelledLeader|TestCancelledRun|TestCancelAborts|TestPool|TestStoreSharedKeyOneSimulation|TestLockMutualExclusion|TestStaleLockTakeover|TestPutOverwriteIsAtomic|TestRenderAhead|TestReplayParallelMatchesSerial|TestReplayClassifierPanicPropagates)'
+STRESS_RUN := '^(TestAdmission|TestConcurrentRunWithCancellation|TestShutdown|TestRunBackpressure429|TestRequestTimeout504|TestSlowHeadersDisconnected|TestSlowBodyCutOff|TestRunOutlivesReadTimeout|TestSingleflight|TestFollower|TestCancelledLeader|TestCancelledRun|TestCancelAborts|TestPool|TestStoreSharedKeyOneSimulation|TestLockMutualExclusion|TestStaleLockTakeover|TestPutOverwriteIsAtomic|TestRenderAhead)'
 
 # The timed benchmarks BENCH_ci.json records and gates: the end-to-end frame
 # rows of the root package and the layer rows beneath them — geometry,
@@ -114,9 +112,9 @@ cover:
 		|| { echo "coverage $$total% is below the $(COVERAGE_MIN)% floor"; exit 1; }
 
 # Byte-identical suite output between serial and fanned-out runs, for the
-# experiment pool (-jobs), the intra-frame render-ahead helpers
-# (-sim-workers) and the epoch-parallel timing replay (-replay-workers),
-# composed: the fully parallel run must reproduce the fully serial one.
+# experiment pool (-jobs) and the intra-frame render-ahead helper
+# (-sim-workers), composed: the fully parallel run must reproduce the fully
+# serial one.
 # GOMAXPROCS=4 gives the parallel runs their render-ahead helper on any host
 # (the engine caps helpers at GOMAXPROCS−1); -sim-workers 1 is the serial
 # engine.
@@ -125,12 +123,10 @@ determinism:
 	/tmp/libra-suite -suite mem -frames 4 -warmup 1 -jobs 1 -sim-workers 1 -quiet > /tmp/libra-suite-serial.txt
 	/tmp/libra-suite -suite mem -frames 4 -warmup 1 -jobs 4 -sim-workers 1 -quiet > /tmp/libra-suite-jobs4.txt
 	GOMAXPROCS=4 /tmp/libra-suite -suite mem -frames 4 -warmup 1 -jobs 4 -sim-workers 4 -quiet > /tmp/libra-suite-par4x4.txt
-	GOMAXPROCS=4 /tmp/libra-suite -suite mem -frames 4 -warmup 1 -jobs 4 -sim-workers 4 -replay-workers 4 -quiet > /tmp/libra-suite-par4x4x4.txt
 	diff -u /tmp/libra-suite-serial.txt /tmp/libra-suite-jobs4.txt
 	diff -u /tmp/libra-suite-serial.txt /tmp/libra-suite-par4x4.txt
-	diff -u /tmp/libra-suite-serial.txt /tmp/libra-suite-par4x4x4.txt
 	/tmp/libra-suite -suite mem -frames 4 -warmup 1 -jobs 1 -sim-workers 1 -render-elim -quiet > /tmp/libra-suite-re-serial.txt
-	GOMAXPROCS=4 /tmp/libra-suite -suite mem -frames 4 -warmup 1 -jobs 4 -sim-workers 4 -replay-workers 4 -render-elim -quiet > /tmp/libra-suite-re-par4x4.txt
+	GOMAXPROCS=4 /tmp/libra-suite -suite mem -frames 4 -warmup 1 -jobs 4 -sim-workers 4 -render-elim -quiet > /tmp/libra-suite-re-par4x4.txt
 	diff -u /tmp/libra-suite-re-serial.txt /tmp/libra-suite-re-par4x4.txt
 	$(GO) build -o /tmp/librasim ./cmd/librasim
 	/tmp/librasim -game AnB -rus 2 -frames 4 -sim-workers 4 -json | grep -o '"FrameHash":[0-9]*' > /tmp/libra-hash-off.txt
@@ -176,7 +172,6 @@ serve-smoke:
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzWorkloadGen -fuzztime 15s ./internal/workloads
 	$(GO) test -run '^$$' -fuzz FuzzSchedEquivalence -fuzztime 15s ./internal/sim
-	$(GO) test -run '^$$' -fuzz FuzzReplayEquivalence -fuzztime 15s ./internal/sim
 	$(GO) test -run '^$$' -fuzz FuzzResultKey -fuzztime 15s ./internal/experiments
 	$(GO) test -run '^$$' -fuzz FuzzDecodeRunRequest -fuzztime 15s ./internal/serve
 	$(GO) test -run '^$$' -fuzz FuzzTileSignature -fuzztime 15s ./internal/tiling

@@ -40,7 +40,6 @@ func main() {
 		addrFile    = flag.String("addr-file", "", "write the resolved listen address to this file (for scripts binding port 0)")
 		resultDir   = flag.String("result-dir", experiments.DefaultResultDir(), "persistent result store directory (or $LIBRA_RESULT_DIR; empty = store disabled)")
 		simWorkers  = flag.Int("sim-workers", experiments.DefaultSimWorkers(), "goroutines rendering each simulation, forced onto every request: 1 runs the serial engine, leaving the other CPUs to request handling; 0 or above 1 adds one render-ahead helper where GOMAXPROCS allows (results are byte-identical for any value)")
-		repWorkers  = flag.Int("replay-workers", experiments.DefaultReplayWorkers(), "timing-replay classifier workers forced onto every request (results are byte-identical for any value)")
 		maxInFlight = flag.Int("max-inflight", experiments.DefaultJobs(), "concurrent simulations before requests queue")
 		maxQueue    = flag.Int("max-queue", 64, "queued requests before /v1/run answers 429")
 		reqTimeout  = flag.Duration("request-timeout", 0, "per-request simulation deadline (0 = none); expiry aborts at the next frame boundary with 504")
@@ -55,7 +54,6 @@ func main() {
 	srv, err := serve.NewServer(context.Background(), serve.Config{
 		ResultDir:      *resultDir,
 		SimWorkers:     *simWorkers,
-		ReplayWorkers:  *repWorkers,
 		MaxInFlight:    *maxInFlight,
 		MaxQueue:       *maxQueue,
 		RequestTimeout: *reqTimeout,

@@ -41,7 +41,6 @@ func main() {
 		screenH = flag.Int("h", 384, "screen height")
 		jobs    = flag.Int("jobs", experiments.DefaultJobs(), "concurrent simulations (<=0 = NumCPU, or $LIBRA_JOBS)")
 		simWork = flag.Int("sim-workers", experiments.DefaultSimWorkers(), "goroutines rendering each simulation (or $LIBRA_SIM_WORKERS): 1 runs the serial engine, 0 or above 1 adds one render-ahead helper where GOMAXPROCS allows; stdout is byte-identical for any value")
-		repWork = flag.Int("replay-workers", experiments.DefaultReplayWorkers(), "timing-replay classifier workers per simulation (1 = serial replay, or $LIBRA_REPLAY_WORKERS); stdout is byte-identical for any value")
 		relim   = flag.Bool("render-elim", experiments.DefaultRenderElim(), "enable Rendering Elimination at every sweep point (or $LIBRA_RENDER_ELIM)")
 		quiet   = flag.Bool("quiet", false, "suppress the stderr progress/ETA line")
 
@@ -84,9 +83,8 @@ func main() {
 	runner := experiments.NewRunner(experiments.Params{
 		ScreenW: *screenW, ScreenH: *screenH,
 		Frames: *frames, Warmup: 2,
-		SimWorkers:    *simWork,
-		ReplayWorkers: *repWork,
-		RenderElim:    *relim,
+		SimWorkers: *simWork,
+		RenderElim: *relim,
 	})
 	runner.SetContext(ctx)
 	if *resultDir != "" {
@@ -112,7 +110,6 @@ func main() {
 		cfg.Policy = libra.Policy(*policy)
 		cfg.L2KB = 1024
 		cfg.SimWorkers = *simWork
-		cfg.ReplayWorkers = *repWork
 		cfg.RenderElim = *relim
 		cfg.RasterUnits = 2
 		cfg.CoresPerRU = 4

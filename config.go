@@ -65,29 +65,27 @@ type Config struct {
 	RasterUnits int
 	CoresPerRU  int
 
-	// SimWorkers is the number of goroutines rendering one simulation's
-	// tiles, its timing replay included (intra-frame parallelism, DESIGN §9):
-	// 1 is the serial engine, where the replay renders every tile itself;
-	// 0 (the zero value) or any larger value adds one render-ahead helper
-	// that renders the tiles the scheduler dispatches next while the replay
-	// runs.
-	// More than one helper has not been measured to help, so larger values
-	// buy nothing more. The engine caps helpers at GOMAXPROCS−1, so a
-	// single-CPU process always runs the serial engine. Results are
+	// SimWorkers chooses between one simulation's two engines (intra-frame
+	// parallelism, DESIGN §9): 1 is the serial engine, where the timing
+	// replay renders every tile itself; 0 (the zero value) or any other
+	// value adds one render-ahead helper that renders the tiles the
+	// scheduler dispatches next while the replay runs. More than one helper
+	// has not been measured to help, so larger values buy nothing more. The
+	// helper needs GOMAXPROCS ≥ 2, so a single-CPU process always runs the
+	// serial engine. Results are
 	// byte-identical for any value: cycle counts, statistics, telemetry and
 	// frame hashes do not change. Compose with the experiment drivers' -jobs
 	// fan-out: -jobs spreads *across* simulations, SimWorkers speeds up each
 	// *single* simulation.
 	SimWorkers int
 
-	// ReplayWorkers parallelizes the cycle-accurate timing replay of each
-	// simulation across that many classifier goroutines (sim.Config.
-	// ReplayWorkers, DESIGN §15); 0 or 1 keeps the serial replay. Like
-	// SimWorkers it is host parallelism: results are byte-identical for any
-	// value and it is excluded from result-store keys. The two compose:
-	// above 1 the whole frame is rendered first on SimWorkers (at least
-	// ReplayWorkers) farm workers, then the timing phase is classified in
-	// parallel.
+	// ReplayWorkers is read by nothing: the parallel timing replay it sized
+	// is gone. It is still decoded and validated (negative values are
+	// rejected), so existing configurations and /v1/run bodies keep
+	// working, and it stays out of result-store keys.
+	//
+	// Deprecated: the timing replay always runs on one goroutine; set
+	// SimWorkers instead.
 	ReplayWorkers int
 
 	Policy Policy
@@ -229,7 +227,6 @@ func (c Config) toCore() core.Config {
 	cc.Sim.RasterUnits = c.RasterUnits
 	cc.Sim.CoresPerRU = c.CoresPerRU
 	cc.Sim.Workers = c.SimWorkers
-	cc.Sim.ReplayWorkers = c.ReplayWorkers
 	switch c.Policy {
 	case PolicyStaticSupertile:
 		cc.Mode = core.ModeStaticSupertile

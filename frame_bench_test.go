@@ -72,31 +72,3 @@ func BenchmarkFrameWorkers(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkFrameReplayWorkers times the same steady-state frame under the
-// serial timing replay (replay-workers=1) and the epoch-parallel classifier
-// farm — the speedup record for Config.ReplayWorkers, composed with the
-// 4-worker rasterization farm it overlaps (the farm renders the whole frame
-// first when ReplayWorkers > 1; replay-workers=1 is render-ahead). Every
-// sub-benchmark computes byte-identical results; only wall-clock time may
-// differ, and it only improves when the host grants the process multiple
-// CPUs.
-func BenchmarkFrameReplayWorkers(b *testing.B) {
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			cfg := libra.LIBRA(640, 384, 2)
-			cfg.SimWorkers = 4
-			cfg.ReplayWorkers = workers
-			run, err := libra.NewRun(cfg, "SuS")
-			if err != nil {
-				b.Fatal(err)
-			}
-			run.RenderFrames(2)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				run.RenderFrame()
-			}
-		})
-	}
-}

@@ -21,12 +21,11 @@ func TestRepoIsLintClean(t *testing.T) {
 	}
 }
 
-// TestAllowlistIsMinimal pins the reviewed exceptions: exactly five entries —
+// TestAllowlistIsMinimal pins the reviewed exceptions: exactly four entries —
 // the implementation behind experiments.Clock (progress/ETA on stderr), the
 // result store's age-based GC cutoff, the RU's deliberate per-tile borrow of
-// FrameInput's transient work arenas, TryRun's documented context-free
-// wrapper, and the replay farm's frame-bounded cond.Wait handshake. Growing
-// the allowlist is a reviewed decision, not a drift.
+// FrameInput's transient work arenas, and TryRun's documented context-free
+// wrapper. Growing the allowlist is a reviewed decision, not a drift.
 func TestAllowlistIsMinimal(t *testing.T) {
 	m := loadRepo(t)
 	allow, err := ParseAllowlistFile(filepath.Join(m.Root, "libralint.allow"))
@@ -38,10 +37,9 @@ func TestAllowlistIsMinimal(t *testing.T) {
 		"detlint internal/resultstore:gc.go":          true,
 		"retainlint internal/sim:sim.go":              true,
 		"ctxlint internal/experiments:experiments.go": true,
-		"ctxlint internal/sim:replay.go":              true,
 	}
 	if len(allow.Entries) != len(want) {
-		t.Fatalf("libralint.allow has %d entries, want exactly %d (Clock, store GC, RU work borrow, TryRun wrapper, replay farm handshake)", len(allow.Entries), len(want))
+		t.Fatalf("libralint.allow has %d entries, want exactly %d (Clock, store GC, RU work borrow, TryRun wrapper)", len(allow.Entries), len(want))
 	}
 	for _, e := range allow.Entries {
 		got := e.Analyzer + " " + e.Package + ":" + e.File
@@ -64,9 +62,6 @@ func TestHotPathSetCoversAllocGates(t *testing.T) {
 		"(*repro/internal/raster.FrameBuffer).AppendTileFlushLines",
 		"(*repro/internal/sim.Engine).RunRaster",
 		"(*repro/internal/mem.Hierarchy).AccessThroughL1",
-		"(*repro/internal/mem.Hierarchy).ClassifyL1",
-		"(*repro/internal/mem.Hierarchy).ReplayThroughL1",
-		"(*repro/internal/sim.replayFarm).classifyTile",
 		"(*repro/internal/tiling.Binner).Bin",
 		"repro/internal/tiling.TileSignature",
 		"repro/internal/tiling.AppendTileSignatures",

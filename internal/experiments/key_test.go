@@ -45,9 +45,9 @@ func keyOf(t testing.TB, p Params, cfg libra.Config) string {
 }
 
 // TestKeyCoversEveryConfigField walks libra.Config by reflection: mutating
-// any field must change the store key — except the host parallelism knobs
-// SimWorkers and ReplayWorkers, which are excluded by design (warm runs may
-// change them and must still hit). New Config fields are covered
+// any field must change the store key — except the host parallelism knob
+// SimWorkers and the deprecated ReplayWorkers, which are excluded by design
+// (warm runs may change them and must still hit). New Config fields are covered
 // automatically; a field that needs exclusion must be added here
 // deliberately.
 func TestKeyCoversEveryConfigField(t *testing.T) {
@@ -64,7 +64,7 @@ func TestKeyCoversEveryConfigField(t *testing.T) {
 		k := keyOf(t, p, cfg)
 		if name == "SimWorkers" || name == "ReplayWorkers" {
 			if k != base {
-				t.Errorf("Config.%s changed the key: host parallelism must be excluded", name)
+				t.Errorf("Config.%s changed the key: it must be excluded", name)
 			}
 			continue
 		}
@@ -131,7 +131,7 @@ func TestKeySpecRejectsUnknownGame(t *testing.T) {
 }
 
 // FuzzResultKey fuzzes (field, delta) over libra.Config: any effective
-// mutation must change the key unless the field is a host parallelism knob
+// mutation must change the key unless the field is excluded by design
 // (SimWorkers, ReplayWorkers), and key derivation must stay stable across
 // repeated calls.
 func FuzzResultKey(f *testing.F) {

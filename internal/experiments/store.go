@@ -34,9 +34,10 @@ func (r *Runner) SetFingerprint(fp string) { r.fingerprint = fp }
 // simulation at the runner's scale. Every semantic input participates:
 // schema version, code fingerprint, the full configuration, the workload
 // profile and its seed, and the frame window. Host parallelism
-// (Config.SimWorkers and Config.ReplayWorkers, like the -jobs fan-out) is
-// excluded by design — results are byte-identical for any value, so warm
-// runs may change it and still hit.
+// (Config.SimWorkers, like the -jobs fan-out) is excluded by design —
+// results are byte-identical for any value, so warm runs may change it and
+// still hit — and so is the deprecated Config.ReplayWorkers, which nothing
+// reads.
 func (r *Runner) KeySpec(cfg libra.Config, game string) (resultstore.KeySpec, error) {
 	prof, err := workloads.ByAbbrev(game)
 	if err != nil {
@@ -44,7 +45,7 @@ func (r *Runner) KeySpec(cfg libra.Config, game string) (resultstore.KeySpec, er
 	}
 	kcfg := cfg
 	kcfg.SimWorkers = 0    // host parallelism: not part of the result identity
-	kcfg.ReplayWorkers = 0 // ditto: the parallel replay is byte-identical
+	kcfg.ReplayWorkers = 0 // deprecated and read by nothing
 	fields := map[string]string{}
 	resultstore.FlattenInto(fields, "config", kcfg)
 	resultstore.FlattenInto(fields, "profile", prof)

@@ -37,7 +37,8 @@ func storeRunner(t *testing.T, dir string) *Runner {
 // TestStoreWarmRunSimulatesNothing is the core acceptance property: a second
 // runner sharing the store directory recalls every result with zero
 // simulations, and the recalled runs equal the originals — including under a
-// different SimWorkers setting, which is excluded from the key by design.
+// different SimWorkers setting and a set deprecated ReplayWorkers, both
+// excluded from the key by design.
 func TestStoreWarmRunSimulatesNothing(t *testing.T) {
 	dir := t.TempDir()
 	cold := storeRunner(t, dir)
@@ -55,10 +56,11 @@ func TestStoreWarmRunSimulatesNothing(t *testing.T) {
 	}
 
 	warm := storeRunner(t, dir)
-	warm.P.SimWorkers = 4    // host parallelism must not change the key
-	warm.P.ReplayWorkers = 4 // ditto for the parallel timing replay
+	warm.P.SimWorkers = 4 // host parallelism must not change the key
 	for _, g := range games {
-		run, err := warm.TryRun(warm.Baseline(), g)
+		cfg := warm.Baseline()
+		cfg.ReplayWorkers = 4 // deprecated and read by nothing: ditto
+		run, err := warm.TryRun(cfg, g)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -107,8 +107,7 @@ const (
 // a tile may be rendered at any time within its frame, before or after its
 // neighbours, since nothing it reads changes during the frame. The engine's
 // render-ahead helpers (internal/sim, Config.Workers) render tiles ahead of
-// their dispatch on this basis, and the parallel replay's render farm
-// renders the whole frame up front.
+// their dispatch on this basis.
 type Renderer struct {
 	grid   tiling.Grid
 	filter Filtering

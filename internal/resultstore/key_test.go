@@ -137,33 +137,3 @@ func TestDefaultFingerprintNonEmpty(t *testing.T) {
 		t.Fatal("DefaultFingerprint returned an empty string")
 	}
 }
-
-// TestTileKey pins the tile-granularity key: stable, well-formed, and
-// distinct across every component (run spec, frame, tile, signature) — the
-// properties a cross-run tile memoization cache needs from it.
-func TestTileKey(t *testing.T) {
-	spec := baseSpec()
-	k := TileKey(spec, 3, 17, 0xdeadbeef)
-	if k != TileKey(spec, 3, 17, 0xdeadbeef) {
-		t.Fatal("TileKey not stable")
-	}
-	if !regexp.MustCompile(`^[0-9a-f]{64}$`).MatchString(k) {
-		t.Fatalf("TileKey %q is not 64 lowercase hex digits", k)
-	}
-	other := baseSpec()
-	other.Seed = 8
-	variants := map[string]string{
-		"frame":   TileKey(spec, 4, 17, 0xdeadbeef),
-		"tile":    TileKey(spec, 3, 18, 0xdeadbeef),
-		"sig":     TileKey(spec, 3, 17, 0xdeadbef0),
-		"spec":    TileKey(other, 3, 17, 0xdeadbeef),
-		"run key": spec.Key(),
-	}
-	seen := map[string]string{k: "base"}
-	for name, v := range variants {
-		if prev, dup := seen[v]; dup {
-			t.Errorf("TileKey variant %q collides with %q", name, prev)
-		}
-		seen[v] = name
-	}
-}

@@ -128,5 +128,9 @@ func DecodeRunRequest(raw []byte) (RunRequest, error) {
 	if err := cfg.Validate(); err != nil {
 		return RunRequest{}, err
 	}
+	// The deprecated ReplayWorkers is accepted and validated but read by
+	// nothing; clearing it keeps a body that still sends it on the same
+	// in-memory memo entry as one that does not.
+	cfg.ReplayWorkers = 0
 	return req, nil
 }

@@ -43,9 +43,6 @@ type Config struct {
 	// parallelism is the operator's budget, not the client's. Store keys
 	// exclude it, so it never splits the cache.
 	SimWorkers int
-	// ReplayWorkers is forced the same way: the parallel timing replay is
-	// byte-identical host parallelism, chosen by the operator.
-	ReplayWorkers int
 	// MaxInFlight bounds concurrently executing requests; MaxQueue bounds
 	// the waiters behind them. Beyond both, /v1/run answers 429.
 	MaxInFlight int
@@ -205,7 +202,6 @@ func (s *Server) runner(frames, warmup int) *experiments.Runner {
 	p.Frames = frames
 	p.Warmup = warmup
 	p.SimWorkers = s.cfg.SimWorkers
-	p.ReplayWorkers = s.cfg.ReplayWorkers
 	r := experiments.NewRunner(p)
 	if s.store != nil {
 		r.SetStore(s.store)
@@ -291,7 +287,6 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 
 	// Host parallelism is server policy, not client input.
 	req.Config.SimWorkers = s.cfg.SimWorkers
-	req.Config.ReplayWorkers = s.cfg.ReplayWorkers
 
 	if wantTrace {
 		s.streamTrace(ctx, w, req)

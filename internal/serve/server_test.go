@@ -9,6 +9,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -103,6 +104,53 @@ func TestRunWarmStore(t *testing.T) {
 	st := warm.StatsSnapshot()
 	if st.Store == nil || st.Store.Hits != 1 {
 		t.Fatalf("warm stats = %+v, want one store hit", st)
+	}
+}
+
+// TestRunAcceptsDeprecatedReplayWorkers: a /v1/run body that still sets the
+// deprecated ReplayWorkers passes the strict decoder, decodes to the same
+// request as the body without it, and a fresh server answers it with the
+// same summary and bytes. A negative value is still a 400.
+func TestRunAcceptsDeprecatedReplayWorkers(t *testing.T) {
+	plain := tinyBody("Jet", 2)
+	withRW := strings.Replace(plain, `"CoresPerRU":2}`, `"CoresPerRU":2,"ReplayWorkers":4}`, 1)
+	if withRW == plain {
+		t.Fatal("test body has no config object to extend")
+	}
+	want, err := DecodeRunRequest([]byte(plain))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := DecodeRunRequest([]byte(withRW))
+	if err != nil {
+		t.Fatalf("DecodeRunRequest rejected ReplayWorkers: %v", err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("decoded requests differ:\nwithout: %+v\nwith:    %+v", want, got)
+	}
+	if _, err := DecodeRunRequest([]byte(strings.Replace(withRW, `:4}`, `:-1}`, 1))); err == nil {
+		t.Error("DecodeRunRequest accepted a negative ReplayWorkers")
+	}
+
+	// Each body on its own server, so both are simulated.
+	var runs [2]experiments.GameRun
+	var bodies [2][]byte
+	for i, body := range []string{plain, withRW} {
+		_, ts := newTestServer(t, Config{MaxInFlight: 1, MaxQueue: 1})
+		resp, raw := postRun(t, ts.URL, body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("body %d: status = %d, body %s", i, resp.StatusCode, raw)
+		}
+		if err := json.Unmarshal(raw, &runs[i]); err != nil {
+			t.Fatal(err)
+		}
+		bodies[i] = raw
+	}
+	if runs[0].Summary != runs[1].Summary {
+		t.Errorf("summaries differ:\nwithout: %+v\nwith:    %+v", runs[0].Summary, runs[1].Summary)
+	}
+	if !bytes.Equal(bodies[0], bodies[1]) {
+		t.Error("response bodies differ")
 	}
 }
 

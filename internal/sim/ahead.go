@@ -1,14 +1,26 @@
 // Render-ahead: the engine's one tile-acquisition path for live rendering,
 // overlapping functional rendering with the timing replay.
 //
-// Each tile costs the engine two jobs: its functional rendering
-// (raster.RenderTileInto, about three quarters of a frame's host time) and
-// its timing replay (beginTile/processBatch/finishTile against the shared
-// memory system). The replay must stay on one goroutine in the engine's
-// reference event order; rendering need not. renderAhead lets helper
-// goroutines render the tiles the scheduler is about to dispatch while the
-// replay goroutine times the current ones. With zero helpers it is the
-// serial engine: the replay renders every tile itself.
+// Each tile costs the engine two jobs with very different parallelization
+// properties:
+//
+//   - Its *functional* rendering (raster.RenderTileInto, about three
+//     quarters of a frame's host time): edge walking, attribute
+//     interpolation, depth test, blending, texture-footprint generation. Its
+//     output, raster.TileWork, is a pure function of (Scene, Prims, Lists,
+//     tile id): the Renderer's on-chip Z/Color buffers are reset at every
+//     tile, Frame Buffer writes of distinct tiles touch disjoint pixels, and
+//     no other state is shared.
+//   - Its *timing* replay (beginTile/processBatch/finishTile against the
+//     per-core L1s, the shared L2 and the timed DRAM, under the scheduler's
+//     decisions). Every quad batch mutates order-sensitive shared state, so
+//     the replay is the global-time domain: it runs on one goroutine, in the
+//     engine's reference event order, always.
+//
+// renderAhead lets helper goroutines render the tiles the scheduler is
+// about to dispatch while the replay goroutine times the current ones. With
+// zero helpers it is the serial engine: the replay renders every tile
+// itself.
 //
 //   - Lookahead. After every NextTile the replay asks the scheduler's
 //     sched.Peeker for each Raster Unit's next `window` tiles and publishes
@@ -27,11 +39,10 @@
 //     TileWork storage stays bounded however far ahead Peek reaches.
 //
 // Results are bit-identical to the serial engine for any helper count,
-// window, pool size and any Peek answer, by the render farm's argument
-// (parallel.go): a TileWork is a pure function of (Scene, Prims, Lists,
-// tile), Frame Buffer writes of distinct tiles touch disjoint pixels, and
-// the replay — the only order-dependent state — consumes tiles in the order
-// NextTile hands them out, which render-ahead never changes. Peek only
+// window, pool size and any Peek answer: a TileWork is a pure function of
+// its inputs, Frame Buffer writes of distinct tiles touch disjoint pixels,
+// and the replay — the only order-dependent state — consumes tiles in the
+// order NextTile hands them out, which render-ahead never changes. Peek only
 // decides which tiles get rendered early: a wrong answer costs overlap,
 // never correctness, provided every tile it names is dispatched in the
 // frame (a tile rendered early but never dispatched would write pixels the
@@ -41,7 +52,7 @@
 // Helpers are spawned on demand and exit as soon as nothing is claimable,
 // so no goroutine ever idles waiting for work, and RunRaster joins them all
 // before it returns: a frame is bounded pure compute, and cancellation
-// stays a frame-boundary concern, as for the render farm's rendezvous.
+// stays a frame-boundary concern.
 package sim
 
 import (

@@ -398,33 +398,30 @@ func (c *countHelped) Peek(ru int, dst []int) []int {
 
 // TestNewEngineRenderAheadShape pins how NewEngine sizes render-ahead:
 // Workers 1 is the serial engine, any other value gets maxHelpers helpers
-// capped at GOMAXPROCS−1, none when the parallel replay's render farm
-// renders instead, and aheadWindow+1 pool slots per RU with helpers: the
-// tile it replays and a spare for every tile of its lookahead (one slot
+// capped at GOMAXPROCS−1, and aheadWindow+1 pool slots per RU with helpers:
+// the tile it replays and a spare for every tile of its lookahead (one slot
 // without helpers).
 func TestNewEngineRenderAheadShape(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, procs := range []int{1, 2, 4} {
 		runtime.GOMAXPROCS(procs)
 		for _, workers := range []int{0, 1, 2, 8} {
-			for _, rw := range []int{0, 2} {
-				cfg := smallCfg(2)
-				cfg.Workers, cfg.ReplayWorkers = workers, rw
-				eng := NewEngine(cfg, aheadGrid, testHier())
-				helpers := min(maxHelpers, procs-1)
-				if workers == 1 || rw > 1 {
-					helpers = 0
-				}
-				pool := 2
-				if helpers > 0 {
-					pool = 2 * (aheadWindow + 1)
-				}
-				if got := len(eng.ahead.renderers); got != helpers {
-					t.Errorf("procs=%d workers=%d replay=%d: %d helpers, want %d", procs, workers, rw, got, helpers)
-				}
-				if got := len(eng.ahead.pool); got != pool {
-					t.Errorf("procs=%d workers=%d replay=%d: %d pool slots, want %d", procs, workers, rw, got, pool)
-				}
+			cfg := smallCfg(2)
+			cfg.Workers = workers
+			eng := NewEngine(cfg, aheadGrid, testHier())
+			helpers := min(maxHelpers, procs-1)
+			if workers == 1 {
+				helpers = 0
+			}
+			pool := 2
+			if helpers > 0 {
+				pool = 2 * (aheadWindow + 1)
+			}
+			if got := len(eng.ahead.renderers); got != helpers {
+				t.Errorf("procs=%d workers=%d: %d helpers, want %d", procs, workers, got, helpers)
+			}
+			if got := len(eng.ahead.pool); got != pool {
+				t.Errorf("procs=%d workers=%d: %d pool slots, want %d", procs, workers, got, pool)
 			}
 		}
 	}

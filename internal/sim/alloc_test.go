@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"fmt"
 	"testing"
 
 	"repro/internal/raster"
@@ -11,9 +10,9 @@ import (
 
 // TestReplayRunRasterZeroAllocs pins the timing engine's replay hot loop at
 // zero heap allocations: once the engine's per-RU scratch has reached its
-// watermark, re-timing a captured frame must not touch the allocator. This is
-// the path the parallel farm drives every frame, so any allocation here is a
-// per-frame cost multiplied by the whole run.
+// watermark, re-timing a captured frame must not touch the allocator. Trace
+// replay drives this path every frame, so any allocation here is a per-frame
+// cost multiplied by the whole run.
 func TestReplayRunRasterZeroAllocs(t *testing.T) {
 	grid := tiling.NewGrid(128, 64)
 	sc, prims, lists := testFrame(t, grid)
@@ -49,9 +48,9 @@ func TestReplayRunRasterZeroAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkReplayRunRaster times the serial timing loop alone (captured
-// works, no functional rasterization) — the replay cost every parallel-mode
-// frame pays after the farm rendezvous.
+// BenchmarkReplayRunRaster times the timing loop alone (captured works, no
+// functional rasterization) — the replay cost every frame pays on the
+// replay goroutine, whoever rendered its tiles.
 func BenchmarkReplayRunRaster(b *testing.B) {
 	grid := tiling.NewGrid(128, 64)
 	sc, prims, lists := testFrame(b, grid)
@@ -73,61 +72,5 @@ func BenchmarkReplayRunRaster(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		replayer.RunRaster(FrameInput{Works: works, Scheduler: scheds[i]})
-	}
-}
-
-// TestReplayWorkersZeroSteadyStateAllocs extends the zero-alloc gate to the
-// epoch-parallel replay farm: with ReplayWorkers > 1, the farm's own scratch
-// (replay streams, per-core outcome buffers) must reach its watermark and
-// then never touch the allocator again. The one irreducible steady-state cost
-// is goroutine spawning: `go f.classify(st, k)` heap-allocates a single
-// funcval per classifier per frame (the compiler wraps go-statements that
-// carry arguments), exactly as renderFarm's `go f.work(r)` does. Persistent
-// parked workers would erase it but leak goroutines for every engine ever
-// built — Engine has no Close — so the gate instead pins the count at
-// exactly spawns-per-frame: any regression in the buffers shows up as
-// allocs > spawns. Both farm modes are pinned: single-RU (scheduler
-// pre-pull) and multi-RU (submit-at-dispatch).
-func TestReplayWorkersZeroSteadyStateAllocs(t *testing.T) {
-	grid := tiling.NewGrid(128, 64)
-	sc, prims, lists := testFrame(t, grid)
-
-	eng := NewEngine(smallCfg(2), grid, testHier())
-	fb := raster.NewFrameBuffer(128, 64)
-	works := make([]raster.TileWork, grid.NumTiles())
-	eng.RunRaster(FrameInput{
-		Scene: sc, Prims: prims, Lists: lists, FB: fb,
-		Scheduler:  sched.NewZOrderQueue(grid),
-		OnTileWork: func(tw raster.TileWork) { works[tw.TileID] = tw.Clone() },
-	})
-
-	for _, rus := range []int{1, 2} {
-		rus := rus
-		t.Run(fmt.Sprintf("rus=%d", rus), func(t *testing.T) {
-			cfg := smallCfg(rus)
-			cfg.ReplayWorkers = 4
-			const runs = 50
-			replayer := NewEngine(cfg, grid, testHier())
-			scheds := make([]sched.Scheduler, runs+1)
-			for i := range scheds {
-				scheds[i] = sched.NewZOrderQueue(grid)
-			}
-			// Two warm frames: the first sizes the farm's streams, the second
-			// lets every outcome buffer reach its per-core capacity watermark.
-			replayer.RunRaster(FrameInput{Works: works, Scheduler: sched.NewZOrderQueue(grid)})
-			replayer.RunRaster(FrameInput{Works: works, Scheduler: sched.NewZOrderQueue(grid)})
-
-			// shards = clamp(ceil(ReplayWorkers/RasterUnits), 1, CoresPerRU)
-			// classifiers per RU: 4 workers over {1, 2} RUs both spawn 4.
-			spawns := 4.0
-			i := 0
-			allocs := testing.AllocsPerRun(runs, func() {
-				replayer.RunRaster(FrameInput{Works: works, Scheduler: scheds[i]})
-				i++
-			})
-			if allocs > spawns {
-				t.Errorf("steady-state parallel replay allocated %.1f times per frame, want <= %.0f (one funcval per classifier spawn)", allocs, spawns)
-			}
-		})
 	}
 }

@@ -45,31 +45,14 @@ type Config struct {
 	// accesses spatially coherent in its private L1.
 	QuadBlock int
 
-	// Workers is the number of goroutines rendering a frame's tiles, the
-	// timing replay's own included (ahead.go): 1 is the serial engine, where
-	// the replay renders every tile itself, and 0 or any larger value adds
-	// maxHelpers render-ahead helpers, capped at GOMAXPROCS−1, so a
-	// single-CPU process always runs the serial engine. With ReplayWorkers
-	// above 1 it instead sizes the barrier render farm (parallel.go). Every
-	// externally visible result — cycle counts, cache and DRAM statistics,
-	// telemetry, frame pixels — is byte-identical to the serial engine for
-	// any Workers value.
+	// Workers chooses between the two engines (ahead.go): 1 is the serial
+	// engine, where the timing replay renders every tile itself, and 0 or
+	// any other value adds one render-ahead helper goroutine, where
+	// GOMAXPROCS is at least 2, so a single-CPU process always runs the
+	// serial engine. Every externally visible result — cycle counts, cache
+	// and DRAM statistics, telemetry, frame pixels — is byte-identical to
+	// the serial engine for any Workers value.
 	Workers int
-
-	// ReplayWorkers parallelizes the cycle-accurate timing replay itself
-	// (replay.go): values above 1 classify the per-core texture-L1 streams
-	// on that many classifier goroutines ahead of the single deterministic
-	// drain, which applies all shared-resource interactions (L2, DRAM,
-	// scheduler decisions, telemetry) at the authoritative cycles. Results
-	// stay byte-identical to the serial replay for any value (DESIGN §15).
-	// Values above 1 force the render farm on (pre-rendered tile work is
-	// what the classifiers read), widened to at least ReplayWorkers.
-	ReplayWorkers int
-	// ReplayEpoch bounds the replay lookahead window in tiles for the
-	// single-RU pre-pull (replay.go): 0 selects the default, negative means
-	// one epoch per frame (unbounded lookahead). The window affects overlap
-	// only, never results — epoch 1 and epoch ∞ are byte-identical.
-	ReplayEpoch int
 
 	// Filtering is the texture sampling footprint of the texture units.
 	Filtering raster.Filtering
@@ -189,18 +172,8 @@ type Engine struct {
 	// (ahead.go). With zero helpers it is the serial engine.
 	ahead *renderAhead
 	// live reports that the frame in flight renders through ahead rather
-	// than replaying caller-supplied or farm-rendered work.
+	// than replaying caller-supplied work.
 	live bool
-
-	// farm, when non-nil, pre-renders every tile of the frame on a worker
-	// pool before the timing replay; only the parallel replay
-	// (Config.ReplayWorkers > 1) uses it.
-	farm *renderFarm
-
-	// rfarm, when non-nil, classifies texture-L1 streams concurrently with
-	// the timing drain (Config.ReplayWorkers > 1, see replay.go); nil keeps
-	// the fused serial replay.
-	rfarm *replayFarm
 
 	// rec, when non-nil, receives per-tile spans for the observability
 	// layer. The nil check keeps the disabled hot path branch-only.
@@ -264,21 +237,13 @@ type rasterUnit struct {
 	core, coreQuads int
 
 	// work points at the tile currently being replayed: a render-ahead pool
-	// slot when rendering live, or the caller's Works entry in replay modes.
+	// slot when rendering live, or the caller's Works entry otherwise.
 	// A pointer rather than a shallow struct copy, so the RU never holds a
 	// second alias of storage it does not own (retainlint's
 	// transient-ownership contract). Read-only during the replay.
 	work *raster.TileWork
 	// slot is the render-ahead pool slot work points at, or -1.
-	slot int
-	// tileOut, in parallel-replay mode, is the current tile's classified
-	// L1 outcome record, acquired lazily at the first quad batch so the
-	// drain overlaps classification with tile setup and other RUs' work.
-	tileOut *replayTile
-	// repCursor indexes this RU's replay stream (tiles consumed so far).
-	repCursor int
-	// ocur is the per-core consumption cursor into tileOut.outc.
-	ocur       []int
+	slot       int
 	quadIdx    int
 	tileActive bool
 	tileAcq    int64 // cycle the tile was acquired (telemetry span start)
@@ -317,21 +282,8 @@ func NewEngine(cfg Config, grid tiling.Grid, hier *mem.Hierarchy) *Engine {
 		}
 		e.rus = append(e.rus, ru)
 	}
-	if cfg.ReplayWorkers > 1 {
-		// The replay farm consumes pre-rendered tile work, so it renders the
-		// whole frame on the render farm first, at least as wide.
-		fcfg := cfg
-		if fcfg.Workers < cfg.ReplayWorkers {
-			fcfg.Workers = cfg.ReplayWorkers
-		}
-		e.farm = newRenderFarm(fcfg, grid)
-		e.rfarm = newReplayFarm(cfg, hier, e.rus)
-		for _, ru := range e.rus {
-			ru.ocur = make([]int, cfg.CoresPerRU)
-		}
-	}
 	helpers := 0
-	if cfg.ReplayWorkers <= 1 && cfg.Workers != 1 {
+	if cfg.Workers != 1 {
 		helpers = min(maxHelpers, runtime.GOMAXPROCS(0)-1)
 	}
 	e.setRenderAhead(helpers, aheadWindow, aheadWindow*cfg.RasterUnits)
@@ -430,17 +382,12 @@ type FrameInput struct {
 //libra:hotpath
 //libra:transient
 func (e *Engine) RunRaster(in FrameInput) FrameOutput {
-	// Live rendering. The parallel replay rasterizes every tile on the
-	// render farm first (rendezvous barrier inside); otherwise render-ahead
-	// helpers render upcoming tiles while the loop below replays. Either
-	// way TileWork is a pure function of (Scene, Prims, Lists, tile), so the
-	// replay consumes inputs identical to the serial engine's inline
-	// rendering and every counter stays byte-identical.
+	// Live rendering goes through render-ahead: helpers render upcoming
+	// tiles while the loop below replays. TileWork is a pure function of
+	// (Scene, Prims, Lists, tile), so the replay consumes inputs identical
+	// to the serial engine's inline rendering and every counter stays
+	// byte-identical.
 	e.live = in.Works == nil && in.WorksByRU == nil
-	if e.live && e.farm != nil {
-		in.Works = e.farm.renderFrame(in)
-		e.live = false
-	}
 	if e.live {
 		defer e.ahead.end() // no helper outlives a panicking frame
 		e.ahead.begin(in)
@@ -452,21 +399,12 @@ func (e *Engine) RunRaster(in FrameInput) FrameOutput {
 		ru.tileActive = false
 		ru.quadIdx = 0
 		ru.core, ru.coreQuads = 0, 0
-		ru.tileOut = nil
-		ru.repCursor = 0
 		ru.stats = RUStats{StartCycle: in.StartCycle}
 		for c := range ru.coreFree {
 			ru.coreFree[c] = in.StartCycle
 			ru.rings[c].reset()
 		}
 	}
-	if e.rfarm != nil {
-		// Epoch-parallel replay: classifier goroutines run the L1-local half
-		// of the texture accesses ahead of the drain loop below (replay.go).
-		e.rfarm.begin(in)
-		defer e.rfarm.finish()
-	}
-
 	for {
 		ru := e.nextRU()
 		if ru == nil {
@@ -517,15 +455,7 @@ func (e *Engine) nextRU() *rasterUnit {
 // batch.
 func (e *Engine) step(ru *rasterUnit, in FrameInput) {
 	if !ru.tileActive {
-		var tile int
-		if e.rfarm != nil && e.rfarm.prepull {
-			// Single-RU: the scheduler call sequence is static, so the farm
-			// pre-pulls decisions up to the epoch window and feeds the
-			// classifiers early; the drain consumes them in the same order.
-			tile = e.rfarm.nextTile(in)
-		} else {
-			tile = in.Scheduler.NextTile(ru.id)
-		}
+		tile := in.Scheduler.NextTile(ru.id)
 		if e.live {
 			e.ahead.publish()
 		}
@@ -556,11 +486,6 @@ func (e *Engine) beginTile(ru *rasterUnit, in FrameInput, tile int) {
 			e.rec.TileSkipped(ru.id, tile, ru.now)
 		}
 		return
-	}
-	if e.rfarm != nil && !e.rfarm.prepull {
-		// Multi-RU: the tile→RU assignment is a timing decision the drain
-		// just made, so the tile enters its classification stream only now.
-		e.rfarm.submit(ru.id, tile)
 	}
 	switch {
 	case in.WorksByRU != nil:
@@ -614,16 +539,6 @@ func (e *Engine) beginTile(ru *rasterUnit, in FrameInput, tile int) {
 // processBatch replays up to BatchQuads quads of the current tile against
 // the memory system, then yields to the engine's global ordering.
 func (e *Engine) processBatch(ru *rasterUnit, in FrameInput) {
-	if e.rfarm != nil && ru.tileOut == nil {
-		// First quad batch of the tile: adopt its classified outcomes. The
-		// wait is the only drain-side synchronization point and usually
-		// resolves without blocking — classification started at dispatch.
-		ru.tileOut = e.rfarm.wait(ru.id, ru.repCursor)
-		ru.repCursor++
-		for c := range ru.ocur {
-			ru.ocur[c] = 0
-		}
-	}
 	quads := ru.work.Quads
 	limit := ru.quadIdx + e.cfg.BatchQuads
 	if limit > len(quads) {
@@ -656,16 +571,7 @@ func (e *Engine) processBatch(ru *rasterUnit, in FrameInput) {
 		var maxLat int64
 		ru.stats.TexAccesses += uint64(q.Samples)
 		for _, line := range ru.work.TexLines[q.TexStart : q.TexStart+uint32(q.TexCount)] {
-			var res mem.AccessResult
-			if ru.tileOut != nil {
-				// Parallel replay: the L1-local half already ran on a
-				// classifier; apply the shared half at the drain's cycle.
-				o := ru.tileOut.outc[c][ru.ocur[c]]
-				ru.ocur[c]++
-				res = e.hier.ReplayThroughL1(ru.texL1[c], start, line, false, o)
-			} else {
-				res = e.hier.AccessThroughL1(ru.texL1[c], start, line, false)
-			}
+			res := e.hier.AccessThroughL1(ru.texL1[c], start, line, false)
 			ru.stats.TexLineAccesses++
 			if res.Level != mem.LevelL1 {
 				ru.stats.TexMisses++
@@ -744,7 +650,6 @@ func (e *Engine) finishTile(ru *rasterUnit, in FrameInput, dram int) {
 		ru.stats.FinishCycle = end
 	}
 	ru.tileActive = false
-	ru.tileOut = nil
 	if ru.slot >= 0 {
 		e.ahead.release(ru.slot)
 		ru.slot = -1

@@ -25,9 +25,8 @@ import (
 // tile's output or timing. Host-parallelism and cache/DRAM sizing knobs are
 // likewise excluded: they change timing, never pixels.
 //
-// FNV-1a is used rather than hash/maphash because signatures participate in
-// cross-process result-store keys (resultstore.TileKey) and must be stable
-// across runs; maphash is seeded per process by design.
+// FNV-1a is used rather than hash/maphash so a tile's signature is the same
+// in every process and every run; maphash is seeded per process by design.
 const (
 	sigOffset uint64 = 14695981039346656037
 	sigPrime  uint64 = 1099511628211

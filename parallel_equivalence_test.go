@@ -107,8 +107,8 @@ func renderMatrixFramesRE(t *testing.T, game string, workers, frames int, re boo
 }
 
 // TestRenderElimEquivalenceMatrix extends the 32-profile matrix with the
-// Rendering Elimination axis: {RE off, RE on} × {serial engine, render-ahead
-// helper}. Within
+// Rendering Elimination axis: {RE off, RE on} × {serial engine, the
+// render-ahead helper of SimWorkers 0 and 4}. Within
 // each RE setting the serial and parallel cells must be fully DeepEqual
 // (frames, summaries, pixels) — SimWorkers stays unobservable with skips in
 // play. Across the RE axis, rendered output must be identical on every
@@ -138,18 +138,20 @@ func TestRenderElimEquivalenceMatrix(t *testing.T) {
 				{false, off, offPix, "RE off"},
 				{true, on, onPix, "RE on"},
 			} {
-				par, parPix := renderMatrixFramesRE(t, b.Abbrev, 0, frames, cell.re)
-				for i := range cell.ref {
-					if !reflect.DeepEqual(cell.ref[i], par[i]) {
-						t.Errorf("%s: helper frame %d diverges from serial:\nserial:   %s\nparallel: %s",
-							cell.name, i, frameLine(cell.ref[i]), frameLine(par[i]))
+				for _, workers := range []int{0, 4} {
+					par, parPix := renderMatrixFramesRE(t, b.Abbrev, workers, frames, cell.re)
+					for i := range cell.ref {
+						if !reflect.DeepEqual(cell.ref[i], par[i]) {
+							t.Errorf("%s workers=%d: helper frame %d diverges from serial:\nserial:   %s\nparallel: %s",
+								cell.name, workers, i, frameLine(cell.ref[i]), frameLine(par[i]))
+						}
 					}
-				}
-				if a, b := libra.Summarize(cell.ref, 1).String(), libra.Summarize(par, 1).String(); a != b {
-					t.Errorf("%s: helper summary diverges:\nserial:   %s\nparallel: %s", cell.name, a, b)
-				}
-				if !reflect.DeepEqual(cell.pix, parPix) {
-					t.Errorf("%s: helper final pixels diverge from serial", cell.name)
+					if a, b := libra.Summarize(cell.ref, 1).String(), libra.Summarize(par, 1).String(); a != b {
+						t.Errorf("%s workers=%d: helper summary diverges:\nserial:   %s\nparallel: %s", cell.name, workers, a, b)
+					}
+					if !reflect.DeepEqual(cell.pix, parPix) {
+						t.Errorf("%s workers=%d: helper final pixels diverge from serial", cell.name, workers)
+					}
 				}
 			}
 
@@ -200,113 +202,6 @@ func TestGoldenFrameHashesParallel(t *testing.T) {
 			r := newHelperRun(t, cfg, b.Abbrev)
 			if got := r.RenderFrames(2)[1].FrameHash; got != want {
 				t.Errorf("%s: render-ahead frame hash %#x, golden %#x", b.Abbrev, got, want)
-			}
-		})
-	}
-}
-
-// renderMatrixFramesReplay is renderMatrixFramesRE with the replay-worker
-// axis added — the full three-axis cell.
-func renderMatrixFramesReplay(t *testing.T, game string, simWorkers, replayWorkers, frames int, re bool) ([]libra.FrameResult, []uint32) {
-	t.Helper()
-	cfg := equivalenceConfig(simWorkers)
-	cfg.ReplayWorkers = replayWorkers
-	cfg.RenderElim = re
-	r := newHelperRun(t, cfg, game)
-	return r.RenderFrames(frames), r.FramePixels()
-}
-
-// TestReplayEquivalenceMatrix is the three-axis matrix of the epoch-parallel
-// replay (DESIGN §15): every registered benchmark ×
-// {sim-workers 0, 4} × {replay-workers 1, 2, 4} × {RE off, on}. Within each
-// Rendering Elimination setting, every cell must reproduce the serial
-// reference (sim-workers 1, replay-workers 1) exactly — full FrameResult DeepEqual (cycles, FrameHash,
-// cache and DRAM statistics, per-RU load, per-tile heatmaps), formatted
-// stdout lines via the summary, and final pixels. Across the RE axis the
-// rendered output (pixels, FrameHash) must be identical as ever. This is the
-// contract stated on Config.ReplayWorkers: the parallel replay is a
-// host-side execution detail that must never be observable in results.
-func TestReplayEquivalenceMatrix(t *testing.T) {
-	if testing.Short() {
-		t.Skip("renders the whole suite twelve times")
-	}
-	const frames = 3
-	cells := []struct{ sw, rw int }{{4, 1}, {0, 2}, {0, 4}, {4, 2}, {4, 4}}
-	for _, b := range libra.Benchmarks() {
-		b := b
-		t.Run(b.Abbrev, func(t *testing.T) {
-			t.Parallel()
-			var refPixByRE [2][]uint32
-			var refHashByRE [2][]uint64
-			for reIdx, re := range []bool{false, true} {
-				reName := "RE off"
-				if re {
-					reName = "RE on"
-				}
-				ref, refPix := renderMatrixFramesReplay(t, b.Abbrev, 1, 1, frames, re)
-				refSum := libra.Summarize(ref, 1).String()
-				refPixByRE[reIdx] = refPix
-				for i := range ref {
-					refHashByRE[reIdx] = append(refHashByRE[reIdx], ref[i].FrameHash)
-				}
-				for _, cell := range cells {
-					got, gotPix := renderMatrixFramesReplay(t, b.Abbrev, cell.sw, cell.rw, frames, re)
-					for i := range ref {
-						if !reflect.DeepEqual(ref[i], got[i]) {
-							t.Errorf("%s sw=%d rw=%d frame %d diverges from serial reference:\nserial:   %s\nparallel: %s",
-								reName, cell.sw, cell.rw, i, frameLine(ref[i]), frameLine(got[i]))
-						}
-					}
-					if sum := libra.Summarize(got, 1).String(); sum != refSum {
-						t.Errorf("%s sw=%d rw=%d summary diverges:\nserial:   %s\nparallel: %s",
-							reName, cell.sw, cell.rw, refSum, sum)
-					}
-					if !reflect.DeepEqual(refPix, gotPix) {
-						t.Errorf("%s sw=%d rw=%d final frame pixels diverge from serial reference",
-							reName, cell.sw, cell.rw)
-					}
-				}
-			}
-			// Across the RE axis: rendered output is inviolable regardless of
-			// how the replay is parallelized.
-			if !reflect.DeepEqual(refPixByRE[0], refPixByRE[1]) {
-				t.Errorf("RE on changes final frame pixels")
-			}
-			for i := range refHashByRE[0] {
-				if refHashByRE[0][i] != refHashByRE[1][i] {
-					t.Errorf("frame %d: RE on changes FrameHash %#x -> %#x",
-						i, refHashByRE[0][i], refHashByRE[1][i])
-				}
-			}
-		})
-	}
-}
-
-// TestGoldenFrameHashesReplay is the 4×4 golden-hash twin: 4-worker
-// rasterization composed with 4-worker timing replay must reproduce the
-// committed golden hashes exactly, tying the fully parallel engine to the
-// same long-lived reference the serial renderer answers to.
-func TestGoldenFrameHashesReplay(t *testing.T) {
-	if testing.Short() {
-		t.Skip("renders the whole suite")
-	}
-	for _, b := range libra.Benchmarks() {
-		b := b
-		t.Run(b.Abbrev, func(t *testing.T) {
-			t.Parallel()
-			want, ok := goldenFrameHashes[b.Abbrev]
-			if !ok {
-				t.Fatalf("%s: no golden hash recorded", b.Abbrev)
-			}
-			cfg := libra.Baseline(320, 192, 8)
-			cfg.SimWorkers = 4
-			cfg.ReplayWorkers = 4
-			r, err := libra.NewRun(cfg, b.Abbrev)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := r.RenderFrames(2)[1].FrameHash; got != want {
-				t.Errorf("%s: 4x4-worker frame hash %#x, golden %#x", b.Abbrev, got, want)
 			}
 		})
 	}
