@@ -72,11 +72,10 @@ type Config struct {
 	// scheduler dispatches next while the replay runs. More than one helper
 	// has not been measured to help, so larger values buy nothing more. The
 	// helper needs GOMAXPROCS ≥ 2, so a single-CPU process always runs the
-	// serial engine. Results are
-	// byte-identical for any value: cycle counts, statistics, telemetry and
-	// frame hashes do not change. Compose with the experiment drivers' -jobs
-	// fan-out: -jobs spreads *across* simulations, SimWorkers speeds up each
-	// *single* simulation.
+	// serial engine. Results are byte-identical for any value: cycle counts,
+	// statistics, telemetry and frame hashes do not change. Compose with the
+	// experiment drivers' -jobs fan-out: -jobs spreads *across* simulations,
+	// SimWorkers speeds up each *single* simulation.
 	SimWorkers int
 
 	// ReplayWorkers is read by nothing: the parallel timing replay it sized

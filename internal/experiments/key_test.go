@@ -47,8 +47,8 @@ func keyOf(t testing.TB, p Params, cfg libra.Config) string {
 // TestKeyCoversEveryConfigField walks libra.Config by reflection: mutating
 // any field must change the store key — except the host parallelism knob
 // SimWorkers and the deprecated ReplayWorkers, which are excluded by design
-// (warm runs may change them and must still hit). New Config fields are covered
-// automatically; a field that needs exclusion must be added here
+// (warm runs may change them and must still hit). New Config fields are
+// covered automatically; a field that needs exclusion must be added here
 // deliberately.
 func TestKeyCoversEveryConfigField(t *testing.T) {
 	p := storeParams()

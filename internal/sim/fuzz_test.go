@@ -62,9 +62,8 @@ func (r *simHashRec) CacheAccess(level telemetry.CacheLevel, cycle int64, hit bo
 // grant in call order), identical FrameOutput, identical per-tile
 // statistics, identical frame pixels and an identical telemetry fold (every
 // timed TileSpan/CacheAccess/DRAMAccess event in order). This is the
-// determinism contract of
-// Config.Workers checked from arbitrary config bytes rather than the curated
-// test matrix.
+// determinism contract of Config.Workers checked from arbitrary config bytes
+// rather than the curated test matrix.
 func FuzzSchedEquivalence(f *testing.F) {
 	f.Add(int64(1), uint8(1), uint8(3), uint8(3), uint8(15), uint8(2), uint8(0))
 	f.Add(int64(-7), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint8(1))
