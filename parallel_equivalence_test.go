@@ -206,3 +206,105 @@ func TestGoldenFrameHashesParallel(t *testing.T) {
 		})
 	}
 }
+
+// renderMatrixFramesReplay is renderMatrixFramesRE with the deprecated
+// Config.ReplayWorkers field set.
+func renderMatrixFramesReplay(t *testing.T, game string, simWorkers, replayWorkers, frames int, re bool) ([]libra.FrameResult, []uint32) {
+	t.Helper()
+	cfg := equivalenceConfig(simWorkers)
+	cfg.ReplayWorkers = replayWorkers
+	cfg.RenderElim = re
+	r := newHelperRun(t, cfg, game)
+	return r.RenderFrames(frames), r.FramePixels()
+}
+
+// TestReplayEquivalenceMatrix pins that Config.ReplayWorkers is read by
+// nothing: it is still accepted (existing configs and /v1/run bodies set
+// it) but the parallel timing replay it once sized is gone, so setting it
+// must never be observable. Every registered benchmark × {serial engine,
+// render-ahead helper of SimWorkers 0 and 4} with ReplayWorkers 2 or 4 ×
+// {RE off, on} must reproduce the serial reference (SimWorkers 1, no
+// ReplayWorkers) exactly — full FrameResult DeepEqual, the summary line and
+// final pixels. Across the RE axis the rendered output (pixels, FrameHash)
+// must be identical as ever.
+func TestReplayEquivalenceMatrix(t *testing.T) {
+	if testing.Short() {
+		t.Skip("renders the whole suite eight times")
+	}
+	const frames = 3
+	cells := []struct{ sw, rw int }{{1, 4}, {0, 2}, {4, 4}}
+	for _, b := range libra.Benchmarks() {
+		b := b
+		t.Run(b.Abbrev, func(t *testing.T) {
+			t.Parallel()
+			var refPixByRE [2][]uint32
+			var refHashByRE [2][]uint64
+			for reIdx, re := range []bool{false, true} {
+				reName := "RE off"
+				if re {
+					reName = "RE on"
+				}
+				ref, refPix := renderMatrixFramesReplay(t, b.Abbrev, 1, 0, frames, re)
+				refSum := libra.Summarize(ref, 1).String()
+				refPixByRE[reIdx] = refPix
+				for i := range ref {
+					refHashByRE[reIdx] = append(refHashByRE[reIdx], ref[i].FrameHash)
+				}
+				for _, cell := range cells {
+					got, gotPix := renderMatrixFramesReplay(t, b.Abbrev, cell.sw, cell.rw, frames, re)
+					for i := range ref {
+						if !reflect.DeepEqual(ref[i], got[i]) {
+							t.Errorf("%s sw=%d rw=%d frame %d diverges from serial reference:\nserial: %s\ngot:    %s",
+								reName, cell.sw, cell.rw, i, frameLine(ref[i]), frameLine(got[i]))
+						}
+					}
+					if sum := libra.Summarize(got, 1).String(); sum != refSum {
+						t.Errorf("%s sw=%d rw=%d summary diverges:\nserial: %s\ngot:    %s",
+							reName, cell.sw, cell.rw, refSum, sum)
+					}
+					if !reflect.DeepEqual(refPix, gotPix) {
+						t.Errorf("%s sw=%d rw=%d final frame pixels diverge from serial reference",
+							reName, cell.sw, cell.rw)
+					}
+				}
+			}
+			if !reflect.DeepEqual(refPixByRE[0], refPixByRE[1]) {
+				t.Errorf("RE on changes final frame pixels")
+			}
+			for i := range refHashByRE[0] {
+				if refHashByRE[0][i] != refHashByRE[1][i] {
+					t.Errorf("frame %d: RE on changes FrameHash %#x -> %#x",
+						i, refHashByRE[0][i], refHashByRE[1][i])
+				}
+			}
+		})
+	}
+}
+
+// TestGoldenFrameHashesReplay is the golden-hash twin of
+// TestReplayEquivalenceMatrix: the render-ahead engine (SimWorkers 4) with
+// the deprecated ReplayWorkers 4 set — the configuration that once composed
+// 4-worker rasterization with 4-worker timing replay — must reproduce the
+// committed golden hashes exactly.
+func TestGoldenFrameHashesReplay(t *testing.T) {
+	if testing.Short() {
+		t.Skip("renders the whole suite")
+	}
+	for _, b := range libra.Benchmarks() {
+		b := b
+		t.Run(b.Abbrev, func(t *testing.T) {
+			t.Parallel()
+			want, ok := goldenFrameHashes[b.Abbrev]
+			if !ok {
+				t.Fatalf("%s: no golden hash recorded", b.Abbrev)
+			}
+			cfg := libra.Baseline(320, 192, 8)
+			cfg.SimWorkers = 4
+			cfg.ReplayWorkers = 4
+			r := newHelperRun(t, cfg, b.Abbrev)
+			if got := r.RenderFrames(2)[1].FrameHash; got != want {
+				t.Errorf("%s: frame hash with ReplayWorkers 4 %#x, golden %#x", b.Abbrev, got, want)
+			}
+		})
+	}
+}
